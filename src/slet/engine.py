@@ -7,7 +7,11 @@ is fixed self-consistently: β depends on the oscillation frequency
 
     w(r) = 2 sqrt(3 + r V''(r)/V'(r))
 
-at r0, while r0 itself solves  sqrt(r³ V'(r)/2) = l − β.  The energy is then
+at r0, while r0 itself solves  F(r) = sqrt(r³ V'(r)/2) − l + β(w(r)) = 0.
+That root is the only iterative step: a log-spaced scan brackets every sign
+change of F, and a Newton iteration polishes each one, taking F'(r) from the
+V', V'' and V''' that the potential's order-6 jet already carries and falling
+back to bisection whenever a step leaves the bracket. The energy is then
 assembled from the zeroth-order term plus second- and third-order corrections
 driven by the anharmonicity coefficients alpha1, alpha2.
 
@@ -16,6 +20,7 @@ All arithmetic is plain 64-bit floating point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +30,7 @@ from .errors import (
     NoBoundStateError,
     NoMinimumError,
     NoRootError,
+    SletError,
 )
 from .potentials import Potential
 
@@ -39,6 +45,8 @@ class SolverSettings:
     bracket_lo: float = 1e-3
     bracket_hi: float = 1e3
     scan_points: int = 400
+    # relative tolerance on r0: the polish stops once a step or the bracket
+    # is within root_tol * r0
     root_tol: float = 1e-12
     term_order: str = TERM_E3
 
@@ -103,7 +111,10 @@ class SletBreakdown:
 
 def omega(potential: Potential, r: float) -> float:
     """Oscillation frequency 2 sqrt(3 + r V''/V') at r."""
-    jet = potential.eval_jet(r)
+    return _omega(potential.eval_jet(r), r)
+
+
+def _omega(jet, r: float) -> float:
     vp = jet.coeffs[1]
     vpp = 2.0 * jet.coeffs[2]
     if not vp > 0:
@@ -141,21 +152,89 @@ def _lbar_equation_arrays(problem: SletProblem, r):
     return f, vp
 
 
-def _lbar_equation_scalar(problem: SletProblem, r: float) -> float:
-    f, _ = _lbar_equation_arrays(problem, np.asarray([r], dtype=float))
-    return float(f[0])
+def _jet_at(problem: SletProblem, r: float):
+    """Scalar jet of the potential at r; a failure there (a singular
+    expression, float overflow in a hand jet) becomes
+    InvalidExpansionPointError."""
+    try:
+        return problem.potential.eval_jet(r)
+    except (SletError, ArithmeticError) as err:
+        raise InvalidExpansionPointError(
+            f"potential not evaluable at r = {r}: {err}") from err
 
 
-def _e0_frozen(problem: SletProblem, lbar: float, r: float) -> float:
-    return lbar**2 / r**2 + float(problem.potential.value(r))
+def _lbar_equation_with_slope(problem: SletProblem, r: float):
+    """F(r) and F'(r) from one scalar jet at r.
+
+    With s = sqrt(r^3 V'/2), g = 3 + r V''/V' and w = 2 sqrt(g):
+    F' = (3 r^2 V' + r^3 V'')/(4 s) + beta'(w) g'/sqrt(g), where
+    g' = V''/V' + r V'''/V' - r (V''/V')^2. Raises
+    InvalidExpansionPointError where F is undefined.
+    """
+    c = _jet_at(problem, r).coeffs
+    vp, vpp, vppp = c[1], 2.0 * c[2], 6.0 * c[3]
+    g = 3.0 + r * vpp / vp if vp > 0 else math.nan
+    if not g > 0:
+        raise InvalidExpansionPointError(
+            f"equation not evaluable at r = {r}: V' = {vp}, "
+            f"3 + r V''/V' = {g}")
+    s = math.sqrt(r**3 * vp / 2.0)
+    dim, n = problem.dim, problem.n_radial
+    f = s - problem.l + beta_shift(dim, n, 2.0 * math.sqrt(g))
+    if not math.isfinite(f):
+        raise InvalidExpansionPointError(
+            f"equation not evaluable at r = {r}: F = {f}")
+    q = vpp / vp
+    dg = q + r * vppp / vp - r * q * q
+    # beta is linear in w; its slope is the change per unit frequency
+    dbeta = beta_shift(dim, n, 1.0) - beta_shift(dim, n, 0.0)
+    fp = (3.0 * r * r * vp + r**3 * vpp) / (4.0 * s) + dbeta * dg / math.sqrt(g)
+    return f, fp
+
+
+def _polish_root(problem: SletProblem, lo, hi, flo, fhi) -> float:
+    """Root of F between lo and hi, where F(lo) and F(hi) differ in sign.
+
+    Newton steps with the jet's slope, started at the regula falsi point
+    and kept inside a bracket that shrinks on every evaluation. A step that
+    would leave the bracket, fails to halve the step before it, or has no
+    finite nonzero slope is replaced by bisection. Stops once a step or the
+    bracket is within root_tol * r, returning the point after that step; a
+    root_tol finer than two machine epsilons counts as two, since adjacent
+    floats cannot be split further.
+    """
+    tol = max(problem.solver.root_tol, 2.0 * sys.float_info.epsilon)
+    x = lo - flo * (hi - lo) / (fhi - flo)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    last_step = hi - lo
+    while True:
+        f, fp = _lbar_equation_with_slope(problem, x)
+        if f == 0.0:
+            return x
+        if (f < 0.0) == (flo < 0.0):
+            lo, flo = x, f
+        else:
+            hi = x
+        step = f / fp if fp != 0.0 and math.isfinite(fp) else math.nan
+        x_new = x - step
+        if not (lo <= x_new <= hi) or (
+                abs(step) > 0.5 * last_step and abs(step) > tol * x):
+            x_new = 0.5 * (lo + hi)
+        last_step = abs(x_new - x)
+        if last_step <= tol * x or hi - lo <= tol * x:
+            return x_new
+        x = x_new
 
 
 def solve_r0(problem: SletProblem):
     """Locate the expansion point.
 
-    Log-spaced scan over the bracket window, bisection on every sign change,
-    then among the roots keep those that are genuine minima of the frozen
-    effective energy l̄²/r² + V(r) and return the one with the lowest E0.
+    Log-spaced scan over the bracket window, then a bracket-guarded Newton
+    polish of every sign change, converged to root_tol relative to r.
+    Among the roots keep those that are genuine minima of the frozen
+    effective energy l̄²/r² + V(r), by its exact curvature 6 l̄²/r⁴ + V''(r),
+    and return the one with the lowest E0 = l̄²/r0² + V(r0).
     """
     s = problem.solver
     grid = np.logspace(math.log10(s.bracket_lo), math.log10(s.bracket_hi),
@@ -171,32 +250,20 @@ def solve_r0(problem: SletProblem):
         raise InvalidExpansionPointError(
             "frequency undefined across the whole bracket window")
 
+    with np.errstate(all="ignore"):
+        changes = np.flatnonzero(
+            finite[:-1] & finite[1:]
+            & ((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0.0)))
     roots = []
-    for i in range(len(grid) - 1):
-        if not (finite[i] and finite[i + 1]):
-            continue
-        if f[i] == 0.0:
-            roots.append(grid[i])
-            continue
-        if f[i] * f[i + 1] < 0:
-            lo, hi = grid[i], grid[i + 1]
-            flo = f[i]
-            while hi - lo > s.root_tol * lo:
-                mid = 0.5 * (lo + hi)
-                fm = _lbar_equation_scalar(problem, mid)
-                if math.isnan(fm):
-                    raise InvalidExpansionPointError(
-                        f"equation not evaluable at r = {mid} during bisection")
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
+    for i in changes.tolist():
+        lo, flo = float(grid[i]), float(f[i])
+        if flo == 0.0:
+            roots.append(lo)
+        else:
+            roots.append(_polish_root(problem, lo, float(grid[i + 1]),
+                                      flo, float(f[i + 1])))
     if f[-1] == 0.0:
-        roots.append(grid[-1])
+        roots.append(float(grid[-1]))
 
     if not roots:
         raise NoRootError(
@@ -206,16 +273,13 @@ def solve_r0(problem: SletProblem):
 
     candidates = []
     for r0 in roots:
-        w = omega(problem.potential, r0)
+        jet = _jet_at(problem, r0)
+        w = _omega(jet, r0)
         lbar = problem.l - beta_shift(problem.dim, problem.n_radial, w)
         if not lbar > 0:
             continue
-        e0 = _e0_frozen(problem, lbar, r0)
-        h = 1e-4 * r0
-        curv = (_e0_frozen(problem, lbar, r0 + h) - 2.0 * e0
-                + _e0_frozen(problem, lbar, r0 - h))
-        if curv > 0:
-            candidates.append((r0, e0))
+        if 6.0 * lbar**2 / r0**4 + 2.0 * jet.coeffs[2] > 0:
+            candidates.append((r0, lbar**2 / r0**2 + float(jet.coeffs[0])))
 
     if not candidates:
         raise NoMinimumError(
@@ -310,12 +374,11 @@ def alpha2(n_radial: int, w: float, e, d) -> float:
 def solve(problem: SletProblem) -> SletBreakdown:
     """Full eigenvalue breakdown for one (l, n) level."""
     r0, candidates = solve_r0(problem)
-    w = omega(problem.potential, r0)
+    jet = _jet_at(problem, r0)
+    w = _omega(jet, r0)
     beta = beta_shift(problem.dim, problem.n_radial, w)
     lbar = problem.l - beta
     Q = lbar * lbar
-
-    jet = problem.potential.eval_jet(r0)
     E0 = Q / r0**2 + jet.coeffs[0]
 
     n = problem.n_radial

@@ -31,6 +31,9 @@ _BUILTIN_SOURCE = {
     "donor": "-2/r + m*gamma + gamma^2*r^2/4",
 }
 
+# parsed once; AST nodes are frozen, so every builtin potential shares its tree
+_BUILTIN_AST = {name: expr.parse(src) for name, src in _BUILTIN_SOURCE.items()}
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -136,8 +139,8 @@ def _require_positive(name, value):
 
 
 def _builtin(family, params):
-    ast = expr.parse(_BUILTIN_SOURCE[family])
-    return Potential(family, dict(params), ast, _BUILTIN_SOURCE[family])
+    return Potential(family, dict(params), _BUILTIN_AST[family],
+                     _BUILTIN_SOURCE[family])
 
 
 def coulomb() -> Potential:

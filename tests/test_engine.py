@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slet import engine, potentials
+from slet import closedform, engine, potentials
 from slet.engine import (
     TERM_E0,
     TERM_E2,
@@ -14,7 +16,9 @@ from slet.errors import (
     InvalidExpansionPointError,
     NoBoundStateError,
     NoRootError,
+    SingularityError,
 )
+from slet.jets import Jet
 
 
 def _problem(pot, l=0, n=0, dim=3, **kw):
@@ -310,3 +314,151 @@ def test_term_order_gating():
     assert only_e0.E_total == full.E0
     assert through_e2.E_total == full.E0 + full.E2_over_lbar2
     assert full.E_total == full.E0 + full.E2_over_lbar2 + full.E3_over_lbar3
+
+
+# -- root polish: Newton on the jet's slope, guarded by the scan bracket -----
+
+
+def _power_and_log_cases():
+    for nu in (0.5, 1.0, 1.7, 2.0, 3.0, 4.0):
+        for l in range(10):
+            for n in range(10):
+                yield (potentials.power(1.3, nu),
+                       closedform.power_law(1.3, nu, l, n), l, n)
+    for b in (0.7, 1.0, 1.9):
+        for l in range(10):
+            for n in range(10):
+                yield (potentials.log_potential(1.0, b),
+                       closedform.logarithmic(1.0, b, l, n), l, n)
+
+
+def test_expansion_point_matches_closed_forms_to_roundoff():
+    for pot, ref, l, n in _power_and_log_cases():
+        r0, _ = engine.solve_r0(_problem(pot, l=l, n=n))
+        assert r0 == pytest.approx(ref.r0, rel=1e-14), (pot.family, pot.params, l, n)
+
+
+def test_hydrogen_expansion_point_is_exact():
+    assert engine.solve_r0(_problem(potentials.coulomb()))[0] == 1.0
+
+
+def test_loose_root_tol_stays_within_tolerance():
+    for pot, dim, l, n in [(potentials.power(1.3, 1.7), 3, 2, 3),
+                           (potentials.coulomb(), 3, 1, 4),
+                           (potentials.donor(100.0, -1), 2, 1, 2),
+                           (potentials.expression("exp(r/10) - 1"), 3, 0, 1)]:
+        tight, _ = engine.solve_r0(SletProblem(dim, l, n, pot))
+        loose, _ = engine.solve_r0(
+            SletProblem(dim, l, n, pot, SolverSettings(root_tol=1e-6)))
+        assert abs(loose - tight) <= 1e-6 * tight
+
+
+def test_root_tol_below_float_resolution_terminates():
+    for pot, dim, l in [(potentials.coulomb(), 3, 2),
+                        (potentials.donor(100.0, 2), 2, 2)]:
+        tight, _ = engine.solve_r0(SletProblem(dim, l, 3, pot))
+        finest, _ = engine.solve_r0(
+            SletProblem(dim, l, 3, pot, SolverSettings(root_tol=1e-300)))
+        assert finest == pytest.approx(tight, rel=1e-15)
+
+
+@pytest.mark.parametrize("dim,pot,l,n", INVARIANT_CASES)
+def test_equation_slope_matches_central_difference(dim, pot, l, n):
+    problem = SletProblem(dim, l, n, pot)
+    r0, _ = engine.solve_r0(problem)
+    for r in (0.8 * r0, r0, 1.3 * r0):
+        h = 1e-5 * r
+        f_hi, _ = engine._lbar_equation_with_slope(problem, r + h)
+        f_lo, _ = engine._lbar_equation_with_slope(problem, r - h)
+        _, fp = engine._lbar_equation_with_slope(problem, r)
+        assert fp == pytest.approx((f_hi - f_lo) / (2.0 * h), rel=1e-7)
+
+
+class _NanThirdDerivative(potentials.Potential):
+    """Oscillator whose scalar jets carry V''' = nan, so F' is nan at every
+    polish iterate; the scan's array jets stay intact."""
+
+    def eval_jet(self, r0):
+        jet = super().eval_jet(r0)
+        if np.ndim(r0):
+            return jet
+        return Jet(jet.coeffs[:3] + (math.nan,) + jet.coeffs[4:])
+
+
+class _FloatErrorJet(potentials.Potential):
+    """Oscillator whose scalar jets raise a float error, as Python-float
+    arithmetic in a hand jet can."""
+
+    def eval_jet(self, r0):
+        if np.ndim(r0):
+            return super().eval_jet(r0)
+        raise ZeroDivisionError("float division by zero")
+
+
+def test_polish_bisects_where_the_slope_is_nan():
+    pot = _NanThirdDerivative("harmonic", {"B": 2.0}, None)
+    r0, _ = engine.solve_r0(_problem(pot))
+    assert r0 == pytest.approx(math.sqrt(1.5), rel=1e-12)
+
+
+def test_polish_bisects_where_the_slope_vanishes(monkeypatch):
+    slope = engine._lbar_equation_with_slope
+    monkeypatch.setattr(engine, "_lbar_equation_with_slope",
+                        lambda problem, r: (slope(problem, r)[0], 0.0))
+    r0, _ = engine.solve_r0(_problem(potentials.harmonic(2.0)))
+    assert r0 == pytest.approx(math.sqrt(1.5), rel=1e-12)
+
+
+def test_scalar_jet_failure_inside_bracket_is_a_slet_error():
+    # sqrt((r - c)^2 - 1e-4) is defined on every scan point around c =
+    # sqrt(1.5), the oscillator's expansion point, but not on the first
+    # polish iterate, which lands within 0.01 of c
+    c = math.sqrt(1.5)
+    pot = potentials.expression(f"r^2 + 1e-6*sqrt((r - {c!r})^2 - 1e-4)")
+    with pytest.raises(InvalidExpansionPointError) as err:
+        engine.solve_r0(_problem(pot))
+    assert isinstance(err.value.__cause__, SingularityError)
+
+
+def test_float_error_in_scalar_jet_is_a_slet_error():
+    with pytest.raises(InvalidExpansionPointError):
+        engine.solve_r0(_problem(_FloatErrorJet("harmonic", {"B": 2.0}, None)))
+
+
+@pytest.mark.parametrize("dim,make", [
+    (3, lambda l: potentials.coulomb()),
+    (3, lambda l: potentials.harmonic(2.0)),
+    (3, lambda l: potentials.power(1.3, 1.7)),
+    (3, lambda l: potentials.log_potential(1.0, 0.7)),
+    (2, lambda l: potentials.donor(0.0, l)),
+    (2, lambda l: potentials.donor(1.0, -l)),
+    (2, lambda l: potentials.donor(100.0, l)),
+])
+def test_polish_needs_few_jets_per_root(monkeypatch, dim, make):
+    calls = []
+    eval_jet = potentials.Potential.eval_jet
+
+    def counting(self, r0):
+        if np.size(r0) == 1:  # a scalar, or a one-point array
+            calls.append(r0)
+        return eval_jet(self, r0)
+
+    monkeypatch.setattr(potentials.Potential, "eval_jet", counting)
+    for l in range(10):
+        for n in range(10):
+            calls.clear()
+            _, candidates = engine.solve_r0(SletProblem(dim, l, n, make(l)))
+            # the polish plus one jet per root for the minimum test
+            assert len(calls) <= 8 * len(candidates), (l, n, len(calls))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(A=st.floats(0.5, 2.0), nu=st.floats(0.5, 4.0),
+       l=st.integers(0, 9), n=st.integers(0, 9))
+def test_power_law_breakdown_matches_closed_form(A, nu, l, n):
+    ref = closedform.power_law(A, nu, l, n)
+    br = engine.solve(_problem(potentials.power(A, nu), l=l, n=n))
+    assert br.r0 == pytest.approx(ref.r0, rel=1e-12)
+    assert br.w == pytest.approx(ref.w, rel=1e-12)
+    assert br.lbar == pytest.approx(ref.lbar, rel=1e-12)
+    assert br.E0 == pytest.approx(ref.E0, rel=1e-12)
