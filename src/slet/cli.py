@@ -5,7 +5,9 @@ quantum numbers), `sweep` (donor energy vs magnetic field), `validate`
 (expansion vs finite-difference oracle). Output formats: json (one top-level
 object), csv (RFC 4180, 17 significant digits), table (human-readable).
 
-Exit codes: 0 success, 2 bad flags or inputs, 3 computation failure.
+Exit codes: 0 success, 2 bad flags or inputs (among them a non-finite
+--gamma LO, HI or STEP and an --out file that cannot be written), 3
+computation failure.
 
 Timestamps live only in a header line (or the "generated" JSON key) so that
 --no-header yields byte-identical payloads across identical invocations.
@@ -16,9 +18,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__, engine, oracle, potentials
@@ -29,6 +32,9 @@ _TERM_BY_FLAG = {0: engine.TERM_E0, 2: engine.TERM_E2, 3: engine.TERM_E3}
 _SOLVE_COLS = ("l", "nr", "r0", "w", "beta", "lbar",
                "E0", "E2term", "E3term", "E_total")
 _SWEEP_COLS = ("gamma", "E_total", "E0", "E2term", "E3term")
+_VALIDATE_COLS = ("E_slet", "E_oracle", "E_oracle_refined",
+                  "E_oracle_extrapolated", "box_shift", "converged",
+                  "abs_diff", "rel_diff", "error")
 
 _CONFIG_KEYS = {"bracket_lo": float, "bracket_hi": float,
                 "scan_points": int, "root_tol": float}
@@ -38,87 +44,14 @@ class _UsageError(Exception):
     """Flag-level failure; becomes exit code 2."""
 
 
-# -- run records ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    command: tuple
-    dim: int
-    l: int
-    n_radial: int
-    potential: str
-    params: dict
-    terms: int
-    solver: dict
-    breakdown: engine.SletBreakdown | None
-    oracle_result: oracle.OracleResult | None
-    timestamp: str
-    version: str
-
-    def to_dict(self) -> dict:
-        d = {
-            "generated": {"timestamp": self.timestamp, "version": self.version},
-            "command": list(self.command),
-            "problem": {
-                "dim": self.dim, "l": self.l, "nr": self.n_radial,
-                "potential": self.potential, "params": dict(self.params),
-                "terms": self.terms, "solver": dict(self.solver),
-            },
-            "breakdown": None,
-            "oracle": None,
-        }
-        if self.breakdown is not None:
-            b = asdict(self.breakdown)
-            b["candidates"] = [list(c) for c in self.breakdown.candidates]
-            d["breakdown"] = b
-        if self.oracle_result is not None:
-            o = asdict(self.oracle_result)
-            o["energy_extrapolated"] = self.oracle_result.energy_extrapolated
-            d["oracle"] = o
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        gen = d.get("generated") or {}
-        pr = d["problem"]
-        bd = None
-        if d.get("breakdown") is not None:
-            raw = dict(d["breakdown"])
-            for key in ("eps", "dlt", "e", "d"):
-                raw[key] = tuple(raw[key])
-            raw["candidates"] = tuple(tuple(c) for c in raw["candidates"])
-            bd = engine.SletBreakdown(**raw)
-        orc = None
-        if d.get("oracle") is not None:
-            raw = dict(d["oracle"])
-            raw.pop("energy_extrapolated", None)
-            orc = oracle.OracleResult(**raw)
-        return cls(
-            command=tuple(d["command"]), dim=pr["dim"], l=pr["l"],
-            n_radial=pr["nr"], potential=pr["potential"],
-            params=dict(pr["params"]), terms=pr["terms"],
-            solver=dict(pr["solver"]), breakdown=bd, oracle_result=orc,
-            timestamp=gen.get("timestamp", ""), version=gen.get("version", ""),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        return cls.from_dict(json.loads(text))
-
-
 # -- small helpers -----------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _fmt(v) -> str:
+    """One output cell: floats to 17 significant digits, None as empty."""
+    if v is None:
+        return ""
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def _parse_params(pairs) -> dict:
@@ -198,6 +131,8 @@ def _parse_gamma_grid(text: str):
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"--gamma expects numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise _UsageError(f"--gamma expects finite numbers, got {text!r}")
     if step <= 0:
         raise _UsageError("--gamma STEP must be positive")
     if lo < 0:
@@ -208,45 +143,77 @@ def _parse_gamma_grid(text: str):
     return [lo + i * step for i in range(count)]
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _render(args, argv, columns, rows, payload, lines) -> None:
+    """Write a run's result in --format to --out or stdout.
+
+    `rows` are raw-valued dicts holding every key in `columns`. JSON shows
+    `payload`, or else the rows; the table shows `lines`, or else the rows
+    aligned in columns.
+    """
+    ts = datetime.now(timezone.utc).isoformat()
+    header = [] if args.no_header else [f"# generated {ts} slet {__version__}"]
+    if args.fmt == "json":
+        doc = {} if args.no_header else {
+            "generated": {"timestamp": ts, "version": __version__}}
+        doc["command"] = list(argv)
+        doc.update(payload if payload is not None else
+                   {"rows": [{c: row[c] for c in columns} for row in rows]})
+        text = json.dumps(doc, indent=2) + "\n"
+    elif args.fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+        text = "".join(h + "\r\n" for h in header) + buf.getvalue()
     else:
+        if lines is None:
+            cells = [[_fmt(row[c]) for c in columns] for row in rows]
+            widths = [max([len(c)] + [len(r[i]) for r in cells])
+                      for i, c in enumerate(columns)]
+            lines = ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip()
+                     for r in [list(columns)] + cells]
+        text = "\n".join(header + lines) + "\n"
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write output file: {exc}") from None
 
 
-def _header_line(record_ts: str) -> str:
-    return f"# generated {record_ts} slet {__version__}"
+def _level_cells(bd: engine.SletBreakdown) -> dict:
+    return {"r0": bd.r0, "w": bd.w, "beta": bd.beta, "lbar": bd.lbar,
+            "E0": bd.E0, "E2term": bd.E2_over_lbar2,
+            "E3term": bd.E3_over_lbar3, "E_total": bd.E_total}
 
 
-def _csv_text(columns, rows, ts, no_header) -> str:
-    buf = io.StringIO()
-    if not no_header:
-        buf.write(_header_line(ts) + "\r\n")
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def _level_rows(columns, keys, make_problem) -> list:
+    """Solve one level per key dict; a level that fails becomes a row whose
+    `error` column holds the message, and the run goes on."""
+    rows = []
+    for key in keys:
+        try:
+            bd = engine.solve(make_problem(**key))
+            rows.append({**key, **_level_cells(bd), "error": ""})
+        except (SletError, ValueError) as exc:
+            rows.append({**dict.fromkeys(columns), **key, "error": str(exc)})
+    return rows
 
 
-def _json_text(payload: dict, no_header: bool) -> str:
-    if no_header:
-        payload = {k: v for k, v in payload.items() if k != "generated"}
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _table_text(lines, ts, no_header) -> str:
-    head = [] if no_header else [_header_line(ts)]
-    return "\n".join(head + list(lines)) + "\n"
-
-
-def _breakdown_row(l, nr, bd: engine.SletBreakdown):
-    return ([str(l), str(nr)]
-            + [_fmt(v) for v in (bd.r0, bd.w, bd.beta, bd.lbar, bd.E0,
-                                 bd.E2_over_lbar2, bd.E3_over_lbar3,
-                                 bd.E_total)])
+def _record(args, settings, bd, res) -> dict:
+    """The problem, breakdown and oracle members of a solve or validate run."""
+    return {
+        "problem": {
+            "dim": args.dim, "l": args.l, "nr": args.nr,
+            "potential": args.potential, "params": _parse_params(args.param),
+            "terms": args.terms, "solver": asdict(settings),
+        },
+        "breakdown": None if bd is None else asdict(bd),
+        "oracle": None if res is None else {
+            **asdict(res), "energy_extrapolated": res.energy_extrapolated},
+    }
 
 
 # -- subcommands --------------------------------------------------------------
@@ -262,77 +229,35 @@ def _cmd_solve(args, argv) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     bd = engine.solve(problem)
-
-    record = RunRecord(
-        command=tuple(argv), dim=args.dim, l=args.l, n_radial=args.nr,
-        potential=args.potential, params=_parse_params(args.param),
-        terms=args.terms, solver=asdict(settings), breakdown=bd,
-        oracle_result=None, timestamp=_timestamp(), version=__version__,
-    )
-
-    if args.fmt == "json":
-        text = _json_text(record.to_dict(), args.no_header)
-    elif args.fmt == "csv":
-        text = _csv_text(_SOLVE_COLS, [_breakdown_row(args.l, args.nr, bd)],
-                         record.timestamp, args.no_header)
-    else:
-        lines = [
-            f"dim        {args.dim}",
-            f"potential  {args.potential}",
-            f"params     {record.params}",
-            f"l          {args.l}",
-            f"nr         {args.nr}",
-            f"r0         {_fmt(bd.r0)}",
-            f"w          {_fmt(bd.w)}",
-            f"beta       {_fmt(bd.beta)}",
-            f"lbar       {_fmt(bd.lbar)}",
-            f"Q          {_fmt(bd.Q)}",
-            f"E0         {_fmt(bd.E0)}",
-            f"E1         {_fmt(bd.E1)}",
-            f"E2 term    {_fmt(bd.E2_over_lbar2)}",
-            f"E3 term    {_fmt(bd.E3_over_lbar3)}",
-            f"E_total    {_fmt(bd.E_total)}",
-            f"alpha1     {_fmt(bd.alpha1)}",
-            f"alpha2     {_fmt(bd.alpha2)}",
-            "eps        " + ", ".join(_fmt(v) for v in bd.eps),
-            "dlt        " + ", ".join(_fmt(v) for v in bd.dlt),
-            "e          " + ", ".join(_fmt(v) for v in bd.e),
-            "d          " + ", ".join(_fmt(v) for v in bd.d),
-            "candidates " + "; ".join(
-                f"r0={_fmt(r)} E0={_fmt(e0)}" for r, e0 in bd.candidates),
-        ]
-        text = _table_text(lines, record.timestamp, args.no_header)
-    _emit(text, args.out)
+    record = _record(args, settings, bd, None)
+    lines = [
+        f"dim        {args.dim}",
+        f"potential  {args.potential}",
+        f"params     {record['problem']['params']}",
+        f"l          {args.l}",
+        f"nr         {args.nr}",
+        f"r0         {_fmt(bd.r0)}",
+        f"w          {_fmt(bd.w)}",
+        f"beta       {_fmt(bd.beta)}",
+        f"lbar       {_fmt(bd.lbar)}",
+        f"Q          {_fmt(bd.Q)}",
+        f"E0         {_fmt(bd.E0)}",
+        f"E1         {_fmt(bd.E1)}",
+        f"E2 term    {_fmt(bd.E2_over_lbar2)}",
+        f"E3 term    {_fmt(bd.E3_over_lbar3)}",
+        f"E_total    {_fmt(bd.E_total)}",
+        f"alpha1     {_fmt(bd.alpha1)}",
+        f"alpha2     {_fmt(bd.alpha2)}",
+        "eps        " + ", ".join(_fmt(v) for v in bd.eps),
+        "dlt        " + ", ".join(_fmt(v) for v in bd.dlt),
+        "e          " + ", ".join(_fmt(v) for v in bd.e),
+        "d          " + ", ".join(_fmt(v) for v in bd.d),
+        "candidates " + "; ".join(
+            f"r0={_fmt(r)} E0={_fmt(e0)}" for r, e0 in bd.candidates),
+    ]
+    row = {"l": args.l, "nr": args.nr, **_level_cells(bd)}
+    _render(args, argv, _SOLVE_COLS, [row], record, lines)
     return 0
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return _fmt(v)
-    return str(v)
-
-
-def _rows_output(args, argv, columns, rows) -> str:
-    """Render raw-valued row dicts in the requested format."""
-    ts = _timestamp()
-    if args.fmt == "json":
-        payload = {
-            "generated": {"timestamp": ts, "version": __version__},
-            "command": list(argv),
-            "rows": rows,
-        }
-        return _json_text(payload, args.no_header)
-    cells = [[_cell(row[c]) for c in columns] for row in rows]
-    if args.fmt == "csv":
-        return _csv_text(columns, cells, ts, args.no_header)
-    widths = [max([len(c)] + [len(r[i]) for r in cells])
-              for i, c in enumerate(columns)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
-    for r in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-    return _table_text(lines, ts, args.no_header)
 
 
 def _cmd_spectrum(args, argv) -> int:
@@ -341,23 +266,11 @@ def _cmd_spectrum(args, argv) -> int:
     settings = _settings_from(args)
     pot = _potential_from(args.potential, args.param)
     columns = _SOLVE_COLS + ("error",)
-    rows = []
-    for l in range(l_lo, l_hi + 1):
-        for nr in range(n_lo, n_hi + 1):
-            try:
-                problem = engine.SletProblem(args.dim, l, nr, pot, settings)
-                bd = engine.solve(problem)
-                rows.append({
-                    "l": l, "nr": nr, "r0": bd.r0, "w": bd.w,
-                    "beta": bd.beta, "lbar": bd.lbar, "E0": bd.E0,
-                    "E2term": bd.E2_over_lbar2, "E3term": bd.E3_over_lbar3,
-                    "E_total": bd.E_total, "error": "",
-                })
-            except (SletError, ValueError) as exc:
-                row = dict.fromkeys(columns)
-                row.update(l=l, nr=nr, error=str(exc))
-                rows.append(row)
-    _emit(_rows_output(args, argv, columns, rows), args.out)
+    keys = [{"l": l, "nr": nr} for l in range(l_lo, l_hi + 1)
+            for nr in range(n_lo, n_hi + 1)]
+    rows = _level_rows(columns, keys, lambda l, nr: engine.SletProblem(
+        args.dim, l, nr, pot, settings))
+    _render(args, argv, columns, rows, None, None)
     return 0
 
 
@@ -369,24 +282,12 @@ def _cmd_sweep(args, argv) -> int:
     _check_quantum("nr", args.nr)
     settings = _settings_from(args)
     grid = _parse_gamma_grid(args.gamma)
-    l = abs(args.m)
     columns = _SWEEP_COLS + ("error",)
-    rows = []
-    for g in grid:
-        try:
-            pot = potentials.donor(g, args.m)
-            problem = engine.SletProblem(2, l, args.nr, pot, settings)
-            bd = engine.solve(problem)
-            rows.append({
-                "gamma": g, "E_total": bd.E_total, "E0": bd.E0,
-                "E2term": bd.E2_over_lbar2, "E3term": bd.E3_over_lbar3,
-                "error": "",
-            })
-        except (SletError, ValueError) as exc:
-            row = dict.fromkeys(columns)
-            row.update(gamma=g, error=str(exc))
-            rows.append(row)
-    _emit(_rows_output(args, argv, columns, rows), args.out)
+    rows = _level_rows(columns, [{"gamma": g} for g in grid],
+                       lambda gamma: engine.SletProblem(
+                           2, abs(args.m), args.nr,
+                           potentials.donor(gamma, args.m), settings))
+    _render(args, argv, columns, rows, None, None)
     return 0
 
 
@@ -426,57 +327,40 @@ def _cmd_validate(args, argv) -> int:
             "rel_diff": abs(diff) / denom if denom else float("inf"),
         }
 
-    record = RunRecord(
-        command=tuple(argv), dim=args.dim, l=args.l, n_radial=args.nr,
-        potential=args.potential, params=_parse_params(args.param),
-        terms=args.terms, solver=asdict(settings), breakdown=bd,
-        oracle_result=res, timestamp=_timestamp(), version=__version__,
-    )
-
-    if args.fmt == "json":
-        payload = record.to_dict()
-        payload["comparison"] = comparison
-        payload["errors"] = {"slet": err_slet, "oracle": err_oracle}
-        text = _json_text(payload, args.no_header)
-    elif args.fmt == "csv":
-        columns = ("E_slet", "E_oracle", "E_oracle_refined",
-                   "E_oracle_extrapolated", "box_shift", "converged",
-                   "abs_diff", "rel_diff", "error")
-        row = [
-            _fmt(bd.E_total) if bd else "",
-            _fmt(res.energy) if res else "",
-            _fmt(res.energy_refined) if res else "",
-            _fmt(res.energy_extrapolated) if res else "",
-            _fmt(res.box_shift) if res else "",
-            str(res.converged).lower() if res else "",
-            _fmt(comparison["abs_diff"]) if comparison else "",
-            _fmt(comparison["rel_diff"]) if comparison else "",
-            "; ".join(e for e in (err_slet, err_oracle) if e),
-        ]
-        text = _csv_text(columns, [row], record.timestamp, args.no_header)
+    payload = {**_record(args, settings, bd, res), "comparison": comparison,
+               "errors": {"slet": err_slet, "oracle": err_oracle}}
+    row = {
+        "E_slet": bd and bd.E_total,
+        "E_oracle": res and res.energy,
+        "E_oracle_refined": res and res.energy_refined,
+        "E_oracle_extrapolated": res and res.energy_extrapolated,
+        "box_shift": res and res.box_shift,
+        "converged": res and str(res.converged).lower(),
+        "abs_diff": comparison and comparison["abs_diff"],
+        "rel_diff": comparison and comparison["rel_diff"],
+        "error": "; ".join(e for e in (err_slet, err_oracle) if e),
+    }
+    lines = []
+    if bd is not None:
+        lines.append(f"SLET E_total         {_fmt(bd.E_total)}")
     else:
-        lines = []
-        if bd is not None:
-            lines.append(f"SLET E_total         {_fmt(bd.E_total)}")
-        else:
-            lines.append(f"SLET failed          {err_slet}")
-        if res is not None:
-            lines += [
-                f"oracle energy        {_fmt(res.energy)}",
-                f"oracle refined       {_fmt(res.energy_refined)}",
-                f"oracle extrapolated  {_fmt(res.energy_extrapolated)}",
-                f"oracle box shift     {_fmt(res.box_shift)}",
-                f"oracle converged     {res.converged}",
-            ]
-        else:
-            lines.append(f"oracle failed        {err_oracle}")
-        if comparison is not None:
-            lines += [
-                f"abs diff             {_fmt(comparison['abs_diff'])}",
-                f"rel diff             {_fmt(comparison['rel_diff'])}",
-            ]
-        text = _table_text(lines, record.timestamp, args.no_header)
-    _emit(text, args.out)
+        lines.append(f"SLET failed          {err_slet}")
+    if res is not None:
+        lines += [
+            f"oracle energy        {_fmt(res.energy)}",
+            f"oracle refined       {_fmt(res.energy_refined)}",
+            f"oracle extrapolated  {_fmt(res.energy_extrapolated)}",
+            f"oracle box shift     {_fmt(res.box_shift)}",
+            f"oracle converged     {res.converged}",
+        ]
+    else:
+        lines.append(f"oracle failed        {err_oracle}")
+    if comparison is not None:
+        lines += [
+            f"abs diff             {_fmt(comparison['abs_diff'])}",
+            f"rel diff             {_fmt(comparison['rel_diff'])}",
+        ]
+    _render(args, argv, _VALIDATE_COLS, [row], payload, lines)
     return 3 if (err_slet or err_oracle) else 0
 
 
@@ -511,22 +395,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("solve", help="one (l, nr) level with full breakdown")
+    sp.set_defaults(run=_cmd_solve)
     _add_common(sp)
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--nr", type=int, required=True)
 
     sp = sub.add_parser("spectrum", help="grid of levels")
+    sp.set_defaults(run=_cmd_spectrum)
     _add_common(sp)
     sp.add_argument("--l-range", required=True, metavar="A..B")
     sp.add_argument("--nr-range", required=True, metavar="A..B")
 
     sp = sub.add_parser("sweep", help="donor level vs magnetic field")
+    sp.set_defaults(run=_cmd_sweep)
     _add_common(sp, with_param=False)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--nr", type=int, required=True)
     sp.add_argument("--gamma", required=True, metavar="LO:HI:STEP")
 
     sp = sub.add_parser("validate", help="expansion vs finite-difference oracle")
+    sp.set_defaults(run=_cmd_validate)
     _add_common(sp)
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--nr", type=int, required=True)
@@ -537,24 +425,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "spectrum": _cmd_spectrum,
-    "sweep": _cmd_sweep,
-    "validate": _cmd_validate,
-}
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.cmd](args, argv)
+        return args.run(args, argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,15 +4,17 @@ Everything runs in-process through cli.main so exit codes and the exact
 stdout/stderr payloads are observable without spawning subprocesses.
 """
 
+import contextlib
 import csv
 import io
 import json
-import math
+import pathlib
+import re
 
 import pytest
 
-from slet import cli, engine, oracle
-from slet.cli import RunRecord
+import slet
+from slet import cli
 
 
 def run_cli(capsys, *args):
@@ -328,6 +330,14 @@ def test_sweep_gamma_grid_errors(capsys):
     assert rc == 2 and "LO must be non-negative" in err
 
 
+@pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:1", "0:1:inf", "0:nan:1"])
+def test_sweep_gamma_grid_not_finite(capsys, grid):
+    rc, out, err = run_cli(capsys, "sweep", "--dim", "2", "--potential", "donor",
+                           "--m", "0", "--nr", "0", "--gamma", grid)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: --gamma")
+
+
 def test_sweep_empty_grid(capsys):
     rc, out, err = run_cli(capsys, "sweep", "--dim", "2",
                            "--potential", "donor", "--m", "0", "--nr", "0",
@@ -494,6 +504,119 @@ def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
         assert fh.read() == stdout_text
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--dim", "3", "--potential", "coulomb", "--l", "0", "--nr", "0"),
+    ("spectrum", "--dim", "3", "--potential", "coulomb",
+     "--l-range", "0..0", "--nr-range", "0..0"),
+])
+def test_out_unwritable_exits_2(capsys, tmp_path, argv):
+    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "no" / "x"))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot write output file: ")
+
+
+def test_parser_state_does_not_leak_between_calls(capsys):
+    rc, out, _ = run_cli(capsys, "solve", "--dim", "3", "--potential", "power",
+                         "--param", "A=1", "--param", "nu=2",
+                         "--l", "0", "--nr", "0", "--format", "json",
+                         "--no-header")
+    assert rc == 0
+    assert json.loads(out)["problem"]["params"] == {"A": 1.0, "nu": 2.0}
+
+    rc, out, _ = run_cli(capsys, "solve", "--dim", "3", "--potential", "power",
+                         "--param", "A=3", "--l", "0", "--nr", "0",
+                         "--terms", "0", "--format", "csv")
+    assert rc == 2  # nu missing: only A=3 may reach the potential
+
+    rc, out, _ = run_cli(capsys, "solve", "--dim", "3", "--potential", "coulomb",
+                         "--l", "0", "--nr", "0", "--format", "json")
+    assert rc == 0
+    payload = json.loads(out)
+    assert "generated" in payload
+    assert payload["problem"]["params"] == {}
+    assert payload["problem"]["terms"] == 3
+
+
+# -- byte-golden output ----------------------------------------------------------
+
+# Exact --no-header stdout, stderr and exit code of each subcommand in each
+# format, including the two partial paths: per-row errors in a spectrum and a
+# validate whose legs both fail. The floats are pinned to the last digit, so
+# a platform whose libm rounds differently may need the file regenerated:
+#   PYTHONPATH=src python tests/test_cli.py
+GOLDEN_PATH = pathlib.Path(__file__).resolve().with_name("cli_golden.json")
+GOLDEN_CASES = {
+    "solve-power": ("solve", "--dim", "3", "--potential", "power",
+                    "--param", "A=1", "--param", "nu=2", "--l", "1", "--nr", "0"),
+    "solve-expr": ("solve", "--dim", "3", "--potential", "r",
+                   "--l", "0", "--nr", "0"),
+    "spectrum": ("spectrum", "--dim", "3", "--potential", "coulomb",
+                 "--l-range", "0..1", "--nr-range", "0..1"),
+    "spectrum-row-errors": ("spectrum", "--dim", "3", "--potential", "coulomb",
+                            "--l-range", "0..2", "--nr-range", "0..0",
+                            "--config", "narrow.cfg"),
+    "sweep": ("sweep", "--dim", "2", "--potential", "donor",
+              "--m", "-1", "--nr", "0", "--gamma", "0:2:1"),
+    "validate": ("validate", "--dim", "3", "--potential", "coulomb",
+                 "--l", "0", "--nr", "0", "--oracle-R", "20", "--oracle-N", "1500"),
+    "validate-fails": ("validate", "--dim", "3", "--potential", "ln(r - 20)",
+                       "--l", "0", "--nr", "0",
+                       "--oracle-R", "20", "--oracle-N", "1500"),
+}
+GOLDEN_FORMATS = ("table", "csv", "json")
+
+
+def _golden_argv(name, fmt, header):
+    return [*GOLDEN_CASES[name], "--format", fmt] + ([] if header else ["--no-header"])
+
+
+def _golden_run(name, fmt, header):
+    """(rc, stdout, stderr) of one golden case, run in the current directory."""
+    pathlib.Path("narrow.cfg").write_text("bracket_hi = 1.0\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(_golden_argv(name, fmt, header))
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("fmt", GOLDEN_FORMATS)
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_golden_no_header(golden, tmp_path, monkeypatch, name, fmt):
+    monkeypatch.chdir(tmp_path)
+    want = golden[f"{name}.{fmt}"]
+    assert _golden_run(name, fmt, False) == (want["rc"], want["stdout"],
+                                             want["stderr"])
+
+
+@pytest.mark.parametrize("fmt", GOLDEN_FORMATS)
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_golden_with_header(golden, tmp_path, monkeypatch, name, fmt):
+    monkeypatch.chdir(tmp_path)
+    want = golden[f"{name}.{fmt}"]
+    rc, out, err = _golden_run(name, fmt, True)
+    assert (rc, err) == (want["rc"], want["stderr"])
+    stamp = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?\+00:00"
+    if fmt == "json":
+        doc = json.loads(out)
+        assert list(doc)[0] == "generated"
+        generated = doc.pop("generated")
+        assert re.fullmatch(stamp, generated["timestamp"])
+        assert generated["version"] == slet.__version__
+        assert doc["command"] == _golden_argv(name, fmt, True)
+        doc["command"] = _golden_argv(name, fmt, False)
+        assert json.dumps(doc, indent=2) + "\n" == want["stdout"]
+    else:
+        first, _, rest = out.partition("\r\n" if fmt == "csv" else "\n")
+        assert re.fullmatch(rf"# generated {stamp} slet {re.escape(slet.__version__)}",
+                            first)
+        assert rest == want["stdout"]
+
+
 # -- config files ----------------------------------------------------------------
 
 
@@ -559,31 +682,13 @@ def test_config_missing_file(capsys, tmp_path):
     assert "cannot read config file" in err
 
 
-# -- run records -----------------------------------------------------------------
-
-
-def test_runrecord_roundtrip_solve(capsys):
-    rc, out, _ = run_cli(capsys, "solve", "--dim", "3", "--potential", "r",
-                         "--l", "1", "--nr", "2", "--format", "json")
-    assert rc == 0
-    rec = RunRecord.from_json(out)
-    assert isinstance(rec.breakdown, engine.SletBreakdown)
-    assert rec.oracle_result is None
-    assert rec.l == 1 and rec.n_radial == 2
-
-    again = RunRecord.from_json(rec.to_json())
-    assert again == rec
-
-
-def test_runrecord_roundtrip_with_oracle(capsys):
-    rc, out, _ = run_cli(capsys, "validate", "--dim", "3",
-                         "--potential", "coulomb", "--l", "0", "--nr", "0",
-                         "--oracle-R", "20", "--oracle-N", "1200",
-                         "--format", "json")
-    assert rc == 0
-    rec = RunRecord.from_json(out)
-    assert isinstance(rec.oracle_result, oracle.OracleResult)
-    assert math.isfinite(rec.oracle_result.energy_extrapolated)
-
-    again = RunRecord.from_json(rec.to_json())
-    assert again == rec
+if __name__ == "__main__":
+    # Rewrite the golden file from the program as it stands; review the diff.
+    import os
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        cases = {f"{name}.{fmt}": dict(zip(("rc", "stdout", "stderr"),
+                                           _golden_run(name, fmt, False)))
+                 for name in GOLDEN_CASES for fmt in GOLDEN_FORMATS}
+    GOLDEN_PATH.write_text(json.dumps(cases, indent=2) + "\n", encoding="utf-8")
