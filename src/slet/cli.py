@@ -6,8 +6,11 @@ quantum numbers), `sweep` (donor energy vs magnetic field), `validate`
 object), csv (RFC 4180, 17 significant digits), table (human-readable).
 
 Exit codes: 0 success, 2 bad flags or inputs (among them a non-finite
---gamma LO, HI or STEP and an --out file that cannot be written), 3
-computation failure.
+--gamma LO, HI or STEP, a --gamma grid of more than 10^6 rows and an --out
+file that cannot be written), 3 computation failure.
+
+`spectrum` solves all its levels as one batch (engine.solve_levels);
+`solve`, `sweep` and `validate` solve one level per engine.solve call.
 
 Timestamps live only in a header line (or the "generated" JSON key) so that
 --no-header yields byte-identical payloads across identical invocations.
@@ -35,6 +38,9 @@ _SWEEP_COLS = ("gamma", "E_total", "E0", "E2term", "E3term")
 _VALIDATE_COLS = ("E_slet", "E_oracle", "E_oracle_refined",
                   "E_oracle_extrapolated", "box_shift", "converged",
                   "abs_diff", "rel_diff", "error")
+
+# the most rows one sweep may ask for; a larger grid is a usage error
+_MAX_GAMMA_ROWS = 10**6
 
 _CONFIG_KEYS = {"bracket_lo": float, "bracket_hi": float,
                 "scan_points": int, "root_tol": float}
@@ -139,8 +145,11 @@ def _parse_gamma_grid(text: str):
         raise _UsageError("--gamma LO must be non-negative")
     if lo > hi:
         return []
-    count = int((hi - lo) / step + 1e-9) + 1
-    return [lo + i * step for i in range(count)]
+    span = (hi - lo) / step + 1e-9
+    if not span < _MAX_GAMMA_ROWS:  # also an overflow to inf
+        raise _UsageError(f"--gamma {text!r} gives more than "
+                          f"{_MAX_GAMMA_ROWS} rows")
+    return [lo + i * step for i in range(int(span) + 1)]
 
 
 def _render(args, argv, columns, rows, payload, lines) -> None:
@@ -189,17 +198,14 @@ def _level_cells(bd: engine.SletBreakdown) -> dict:
             "E3term": bd.E3_over_lbar3, "E_total": bd.E_total}
 
 
-def _level_rows(columns, keys, make_problem) -> list:
-    """Solve one level per key dict; a level that fails becomes a row whose
-    `error` column holds the message, and the run goes on."""
-    rows = []
-    for key in keys:
-        try:
-            bd = engine.solve(make_problem(**key))
-            rows.append({**key, **_level_cells(bd), "error": ""})
-        except (SletError, ValueError) as exc:
-            rows.append({**dict.fromkeys(columns), **key, "error": str(exc)})
-    return rows
+def _level_rows(columns, keys, results) -> list:
+    """One row per key dict and its level's result. A level that failed
+    (its result is the exception) becomes a row whose `error` column holds
+    the message, and the run goes on."""
+    return [{**key, **_level_cells(res), "error": ""}
+            if isinstance(res, engine.SletBreakdown)
+            else {**dict.fromkeys(columns), **key, "error": str(res)}
+            for key, res in zip(keys, results)]
 
 
 def _record(args, settings, bd, res) -> dict:
@@ -266,10 +272,10 @@ def _cmd_spectrum(args, argv) -> int:
     settings = _settings_from(args)
     pot = _potential_from(args.potential, args.param)
     columns = _SOLVE_COLS + ("error",)
-    keys = [{"l": l, "nr": nr} for l in range(l_lo, l_hi + 1)
-            for nr in range(n_lo, n_hi + 1)]
-    rows = _level_rows(columns, keys, lambda l, nr: engine.SletProblem(
-        args.dim, l, nr, pot, settings))
+    levels = [(l, nr) for l in range(l_lo, l_hi + 1)
+              for nr in range(n_lo, n_hi + 1)]
+    rows = _level_rows(columns, [{"l": l, "nr": nr} for l, nr in levels],
+                       engine.solve_levels(args.dim, pot, levels, settings))
     _render(args, argv, columns, rows, None, None)
     return 0
 
@@ -283,10 +289,15 @@ def _cmd_sweep(args, argv) -> int:
     settings = _settings_from(args)
     grid = _parse_gamma_grid(args.gamma)
     columns = _SWEEP_COLS + ("error",)
-    rows = _level_rows(columns, [{"gamma": g} for g in grid],
-                       lambda gamma: engine.SletProblem(
-                           2, abs(args.m), args.nr,
-                           potentials.donor(gamma, args.m), settings))
+    results = []
+    for gamma in grid:
+        try:
+            results.append(engine.solve(engine.SletProblem(
+                2, abs(args.m), args.nr, potentials.donor(gamma, args.m),
+                settings)))
+        except (SletError, ValueError) as exc:
+            results.append(exc)
+    rows = _level_rows(columns, [{"gamma": g} for g in grid], results)
     _render(args, argv, columns, rows, None, None)
     return 0
 

@@ -15,6 +15,14 @@ back to bisection whenever a step leaves the bracket. The energy is then
 assembled from the zeroth-order term plus second- and third-order corrections
 driven by the anharmonicity coefficients alpha1, alpha2.
 
+Two paths share that method. solve() and solve_r0() take one level with
+scalar jets. solve_levels() takes many levels of one potential at once: F
+depends on (l, n) only through l and the linear beta(n, w), so one jet on
+the scan grid serves every level, one array jet per Newton pass steps
+every (level, bracket) pair, and the energy assembly (_energy_terms, shared
+with solve) runs elementwise. A level the batch cannot settle falls back to
+solve(), which keeps its outcome and error text.
+
 All arithmetic is plain 64-bit floating point.
 """
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .errors import (
     NoRootError,
     SletError,
 )
+from .jets import Jet
 from .potentials import Potential
 
 TERM_E0 = "E0_only"
@@ -127,20 +136,25 @@ def _omega(jet, r: float) -> float:
     return 2.0 * math.sqrt(radicand)
 
 
-def beta_shift(dim: int, n_radial: int, w):
-    """Shift removing the first-order energy term. Works elementwise on w."""
+def beta_shift(dim: int, n_radial, w):
+    """Shift removing the first-order energy term. Works elementwise on
+    n_radial and w."""
     if dim == 3:
         return -(2.0 + (2 * n_radial + 1) * w) / 4.0
     return -(n_radial + 0.5) * w / 2.0
 
 
-def _lbar_equation_arrays(problem: SletProblem, r):
-    """F(r) = sqrt(r^3 V'/2) - l + beta(w(r)) on an array, nan where undefined.
+def _scan_grid(settings: SolverSettings):
+    return np.logspace(math.log10(settings.bracket_lo),
+                       math.log10(settings.bracket_hi), settings.scan_points)
 
-    Also returns the V' array so callers can distinguish a potential with no
-    rising region from one where only the frequency is undefined.
-    """
-    jet = problem.potential.eval_jet(r)
+
+def _scan_terms(potential: Potential, r):
+    """sqrt(r^3 V'/2), w(r) and V' on an array from one jet, nan where
+    undefined. A level's F(r) is the first term minus l plus beta(w); V'
+    tells a potential with no rising region from one where only the
+    frequency is undefined."""
+    jet = potential.eval_jet(r)
     vp = np.asarray(jet.coeffs[1], dtype=float)
     vpp = 2.0 * np.asarray(jet.coeffs[2], dtype=float)
     with np.errstate(all="ignore"):
@@ -148,8 +162,16 @@ def _lbar_equation_arrays(problem: SletProblem, r):
         w = 2.0 * np.sqrt(radicand)
         w = np.where((vp > 0) & (radicand > 0), w, np.nan)
         lhs = np.sqrt(r**3 * vp / 2.0)
-        f = lhs - problem.l + beta_shift(problem.dim, problem.n_radial, w)
-    return f, vp
+    return lhs, w, vp
+
+
+def _sign_changes(f):
+    """Mask of the scan cells [i, i+1] along the last axis that bracket a
+    root of F: a sign change, or F exactly zero at the left end."""
+    finite = np.isfinite(f)
+    with np.errstate(all="ignore"):
+        return (finite[..., :-1] & finite[..., 1:]
+                & ((f[..., :-1] == 0.0) | (f[..., :-1] * f[..., 1:] < 0.0)))
 
 
 def _jet_at(problem: SletProblem, r: float):
@@ -227,35 +249,30 @@ def _polish_root(problem: SletProblem, lo, hi, flo, fhi) -> float:
         x = x_new
 
 
-def solve_r0(problem: SletProblem):
-    """Locate the expansion point.
+def _lowest(candidates) -> int:
+    """Index of the (r0, E0) candidate with the lowest E0; the first of
+    equal ones wins."""
+    return min(range(len(candidates)), key=lambda k: candidates[k][1])
 
-    Log-spaced scan over the bracket window, then a bracket-guarded Newton
-    polish of every sign change, converged to root_tol relative to r.
-    Among the roots keep those that are genuine minima of the frozen
-    effective energy l̄²/r² + V(r), by its exact curvature 6 l̄²/r⁴ + V''(r),
-    and return the one with the lowest E0 = l̄²/r0² + V(r0).
-    """
+
+def _expansion_point(problem: SletProblem):
+    """solve_r0, plus the potential's jet at the chosen r0."""
     s = problem.solver
-    grid = np.logspace(math.log10(s.bracket_lo), math.log10(s.bracket_hi),
-                       s.scan_points)
-    f, vp = _lbar_equation_arrays(problem, grid)
+    grid = _scan_grid(s)
+    lhs, w, vp = _scan_terms(problem.potential, grid)
 
     if not np.any(np.isfinite(vp) & (vp > 0)):
         raise NoBoundStateError(
             "V' is nowhere positive on the bracket window; "
             "the potential admits no expansion point")
-    finite = np.isfinite(f)
-    if not finite.any():
+    with np.errstate(all="ignore"):
+        f = lhs - problem.l + beta_shift(problem.dim, problem.n_radial, w)
+    if not np.isfinite(f).any():
         raise InvalidExpansionPointError(
             "frequency undefined across the whole bracket window")
 
-    with np.errstate(all="ignore"):
-        changes = np.flatnonzero(
-            finite[:-1] & finite[1:]
-            & ((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0.0)))
     roots = []
-    for i in changes.tolist():
+    for i in np.flatnonzero(_sign_changes(f)).tolist():
         lo, flo = float(grid[i]), float(f[i])
         if flo == 0.0:
             roots.append(lo)
@@ -271,7 +288,7 @@ def solve_r0(problem: SletProblem):
             f"[{s.bracket_lo:g}, {s.bracket_hi:g}]; widen the bracket "
             f"window or increase scan_points")
 
-    candidates = []
+    candidates, jets_there = [], []
     for r0 in roots:
         jet = _jet_at(problem, r0)
         w = _omega(jet, r0)
@@ -280,14 +297,31 @@ def solve_r0(problem: SletProblem):
             continue
         if 6.0 * lbar**2 / r0**4 + 2.0 * jet.coeffs[2] > 0:
             candidates.append((r0, lbar**2 / r0**2 + float(jet.coeffs[0])))
+            jets_there.append(jet)
 
     if not candidates:
         raise NoMinimumError(
             "every root of the expansion-point equation sits on a maximum "
             "of the effective energy; no stable expansion point")
 
-    best = min(candidates, key=lambda c: c[1])
-    return best[0], candidates
+    best = _lowest(candidates)
+    return candidates[best][0], candidates, jets_there[best]
+
+
+def solve_r0(problem: SletProblem):
+    """Locate the expansion point.
+
+    Log-spaced scan over the bracket window, then a bracket-guarded Newton
+    polish of every sign change, converged to root_tol relative to r.
+    Among the roots keep those that are genuine minima of the frozen
+    effective energy l̄²/r² + V(r), by its exact curvature 6 l̄²/r⁴ + V''(r),
+    and return the one with the lowest E0 = l̄²/r0² + V(r0), together with
+    every admissible (r0, E0) pair in search order.
+    """
+    r0, candidates, _ = _expansion_point(problem)
+    return r0, candidates
+
+
 
 
 # -- anharmonic coefficient tables ----------------------------------------
@@ -316,7 +350,7 @@ def appendix_coeffs(dim: int, beta: float, r0: float, Q: float, potjet, w: float
         eps = (-4.0 * beta, 6.0 * beta, -4.0 + e3_tail, 5.0 + e4_tail)
         dlt = (-2.0 * bb, 3.0 * bb, -8.0 * beta, 10.0 * beta,
                -6.0 + d5_tail, 7.0 + d6_tail)
-    rw = math.sqrt(w)
+    rw = np.sqrt(w) if np.ndim(w) else math.sqrt(w)
     e = tuple(eps[j] / rw ** (j + 1) for j in range(4))
     d = tuple(dlt[i] / rw ** (i + 1) for i in range(6))
     return eps, dlt, e, d
@@ -371,18 +405,17 @@ def alpha2(n_radial: int, w: float, e, d) -> float:
 # -- assembly --------------------------------------------------------------
 
 
-def solve(problem: SletProblem) -> SletBreakdown:
-    """Full eigenvalue breakdown for one (l, n) level."""
-    r0, candidates = solve_r0(problem)
-    jet = _jet_at(problem, r0)
-    w = _omega(jet, r0)
-    beta = beta_shift(problem.dim, problem.n_radial, w)
-    lbar = problem.l - beta
+def _energy_terms(dim, l, n_radial, r0, jet, w, term_order) -> dict:
+    """Every SletBreakdown field but the candidates, from the potential's
+    jet at r0 and the frequency w there. Elementwise: l, n_radial, r0, w
+    and the jet's coefficients may be arrays of one shape."""
+    n = n_radial
+    beta = beta_shift(dim, n, w)
+    lbar = l - beta
     Q = lbar * lbar
     E0 = Q / r0**2 + jet.coeffs[0]
 
-    n = problem.n_radial
-    if problem.dim == 3:
+    if dim == 3:
         first_order = 2.0 * beta + 1.0 + (n + 0.5) * w
         second_shift = beta * (1.0 + beta)
     else:
@@ -390,24 +423,225 @@ def solve(problem: SletProblem) -> SletBreakdown:
         second_shift = beta * beta - 0.25
     E1 = (Q / r0**2) * first_order
 
-    eps, dlt, e, d = appendix_coeffs(problem.dim, beta, r0, Q, jet, w)
+    eps, dlt, e, d = appendix_coeffs(dim, beta, r0, Q, jet, w)
     a1 = alpha1(n, w, e)
     a2 = alpha2(n, w, e, d)
 
     E2_term = (second_shift + a1) / r0**2
     E3_term = a2 / (lbar * r0**2)
 
-    order = problem.solver.term_order
     E_total = E0
-    if order in (TERM_E2, TERM_E3):
-        E_total += E2_term
-    if order == TERM_E3:
-        E_total += E3_term
+    if term_order in (TERM_E2, TERM_E3):
+        E_total = E_total + E2_term
+    if term_order == TERM_E3:
+        E_total = E_total + E3_term
 
-    return SletBreakdown(
+    return dict(
         r0=r0, w=w, beta=beta, lbar=lbar, Q=Q,
         E0=E0, E1=E1, E2_over_lbar2=E2_term, E3_over_lbar3=E3_term,
         E_total=E_total, alpha1=a1, alpha2=a2,
         eps=eps, dlt=dlt, e=e, d=d,
-        candidates=tuple(candidates),
     )
+
+
+def solve(problem: SletProblem) -> SletBreakdown:
+    """Full eigenvalue breakdown for one (l, n) level."""
+    r0, candidates, jet = _expansion_point(problem)
+    terms = _energy_terms(problem.dim, problem.l, problem.n_radial, r0, jet,
+                          _omega(jet, r0), problem.solver.term_order)
+    return SletBreakdown(**terms, candidates=tuple(candidates))
+
+
+# -- many levels of one potential at once ----------------------------------
+
+
+def _equation_with_slope_arrays(dim, potential, l, n, r):
+    """F(r) and F'(r) of _lbar_equation_with_slope, elementwise over lanes
+    with their own l and n, from one array jet. F is nan on a lane where
+    the scalar form raises."""
+    c = potential.eval_jet(r).coeffs
+    vp, vpp, vppp = c[1], 2.0 * c[2], 6.0 * c[3]
+    g = np.where(vp > 0, 3.0 + r * vpp / vp, np.nan)
+    s = np.sqrt(r**3 * vp / 2.0)
+    f = s - l + beta_shift(dim, n, 2.0 * np.sqrt(g))
+    f = np.where((g > 0) & np.isfinite(f), f, np.nan)
+    q = vpp / vp
+    dg = q + r * vppp / vp - r * q * q
+    dbeta = beta_shift(dim, n, 1.0) - beta_shift(dim, n, 0.0)
+    fp = (3.0 * r * r * vp + r**3 * vpp) / (4.0 * s) + dbeta * dg / np.sqrt(g)
+    return f, fp
+
+
+def _polish_roots(dim, potential, l, n, lo, hi, flo, fhi, tol):
+    """_polish_root on every lane at once, with one array jet per pass.
+
+    Each lane takes the steps of the scalar iteration and stops where it
+    stops. A lane whose F cannot be evaluated stops with a nan root.
+    """
+    root = np.full(lo.shape, np.nan)
+    lane = np.arange(lo.size)
+    x = lo - flo * (hi - lo) / (fhi - flo)
+    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    last_step = hi - lo
+    while lane.size:
+        f, fp = _equation_with_slope_arrays(dim, potential, l, n, x)
+        on_root = f == 0.0
+        root[lane[on_root]] = x[on_root]
+        same = (f < 0.0) == (flo < 0.0)
+        lo, flo, hi = np.where(same, x, lo), np.where(same, f, flo), np.where(same, hi, x)
+        step = np.where((fp != 0.0) & np.isfinite(fp), f / fp, np.nan)
+        x_new = x - step
+        bisect = ~((lo <= x_new) & (x_new <= hi)) | (
+            (abs(step) > 0.5 * last_step) & (abs(step) > tol * x))
+        x_new = np.where(bisect, 0.5 * (lo + hi), x_new)
+        last_step = abs(x_new - x)
+        live = np.isfinite(f) & ~on_root
+        done = live & ((last_step <= tol * x) | (hi - lo <= tol * x))
+        root[lane[done]] = x_new[done]
+        go = live & ~done
+        lane, l, n, lo, hi, flo, x, last_step = (
+            a[go] for a in (lane, l, n, lo, hi, flo, x_new, last_step))
+    return root
+
+
+def _brackets(dim, grid, lhs, w, levels):
+    """Every bracket of every (index, l, n) level: the owning index, that
+    level's l and n, the left grid cell and F at both ends of the cell.
+
+    F is built one radial number at a time, as a (levels of that n) x grid
+    array. A level's brackets come in the scalar search's order: its sign
+    changes left to right, then a zero on the last grid point (a cell of
+    its own whose F is 0 at both ends). F = 0 at the left end marks a root
+    on the grid.
+    """
+    by_n = {}
+    for i, l, n in levels:
+        by_n.setdefault(n, []).append((i, l))
+    owner, ls, ns, cell, f_lo, f_hi = [], [], [], [], [], []
+    for n, members in by_n.items():
+        f = lhs - np.array([l for _, l in members], dtype=float)[:, None] \
+            + beta_shift(dim, n, w)
+        rows, cols = np.nonzero(_sign_changes(f))
+        ends = np.flatnonzero(f[:, -1] == 0.0)
+        for k in rows.tolist() + ends.tolist():
+            owner.append(members[k][0])
+            ls.append(members[k][1])
+            ns.append(n)
+        none = np.zeros(ends.size)
+        cell.append(np.concatenate([cols, np.full(ends.size, grid.size - 1)]))
+        f_lo.append(np.concatenate([f[rows, cols], none]))
+        f_hi.append(np.concatenate([f[rows, cols + 1], none]))
+    return (owner, np.array(ls, dtype=float), np.array(ns, dtype=float),
+            *(np.concatenate(a) for a in (cell, f_lo, f_hi)))
+
+
+def _solve_batch(dim, potential, settings, levels) -> dict:
+    """{index: SletBreakdown} of the (index, l, n) levels that the batch
+    search settles. A level is left out when its scalar search would
+    raise, or a lane of it hit a point where F cannot be evaluated, or one
+    of its energy terms is not finite."""
+    grid = _scan_grid(settings)
+    lhs, w_grid, vp = _scan_terms(potential, grid)
+    if not np.any(np.isfinite(vp) & (vp > 0)):
+        return {}
+    owner, l, n, cell, f_lo, f_hi = _brackets(dim, grid, lhs, w_grid, levels)
+    if not owner:
+        return {}
+
+    roots = grid[cell]
+    lanes = f_lo != 0.0
+    if lanes.any():
+        tol = max(settings.root_tol, 2.0 * sys.float_info.epsilon)
+        roots[lanes] = _polish_roots(
+            dim, potential, l[lanes], n[lanes], roots[lanes],
+            grid[cell[lanes] + 1], f_lo[lanes], f_hi[lanes], tol)
+
+    # one jet at every root: the frequency, the exact-curvature minimum
+    # test and E0 = lbar^2/r0^2 + V(r0), as in the scalar search
+    ok = np.isfinite(roots)
+    roots = np.where(ok, roots, 1.0)
+    coeffs = [c if np.ndim(c) else np.full(roots.shape, float(c))
+              for c in potential.eval_jet(roots).coeffs]
+    vp, c2 = coeffs[1], coeffs[2]
+    radicand = 3.0 + roots * (2.0 * c2) / vp
+    ok &= (vp > 0) & (radicand > 0)
+    w = 2.0 * np.sqrt(radicand)
+    lbar = l - beta_shift(dim, n, w)
+    is_min = (lbar > 0) & (6.0 * lbar**2 / roots**4 + 2.0 * c2 > 0)
+    e0 = lbar**2 / roots**2 + coeffs[0]
+
+    slots = {}
+    for s, i in enumerate(owner):
+        slots.setdefault(i, []).append(s)
+    ok, is_min = ok.tolist(), is_min.tolist()
+    r_list, e0_list = roots.tolist(), e0.tolist()
+    chosen, candidates = [], {}
+    for i, mine in slots.items():
+        admissible = [s for s in mine if is_min[s]]
+        if all(ok[s] for s in mine) and admissible:
+            candidates[i] = [(r_list[s], e0_list[s]) for s in admissible]
+            chosen.append(admissible[_lowest(candidates[i])])
+    if not chosen:
+        return {}
+
+    chosen = np.array(chosen)
+    terms = _energy_terms(dim, l[chosen], n[chosen], roots[chosen],
+                          Jet(c[chosen] for c in coeffs), w[chosen],
+                          settings.term_order)
+    # one flat list of columns; each field takes one, each tuple its width
+    layout, columns = [], []
+    for t in terms.values():
+        layout.append((len(columns), len(t) if isinstance(t, tuple) else 0))
+        columns += t if isinstance(t, tuple) else (t,)
+    finite = np.logical_and.reduce([np.isfinite(c) for c in columns])
+    out = {}
+    for s, ok_j, row in zip(chosen.tolist(), finite.tolist(),
+                            zip(*(c.tolist() for c in columns))):
+        if ok_j:
+            fields = [row[a:a + k] if k else row[a] for a, k in layout]
+            out[owner[s]] = SletBreakdown(
+                **dict(zip(terms, fields)),
+                candidates=tuple(candidates[owner[s]]))
+    return out
+
+
+def solve_levels(dim: int, potential: Potential, levels,
+                 settings: SolverSettings | None = None) -> list:
+    """solve() for every (l, n_radial) pair of `levels`, one potential.
+
+    The levels share one order-6 jet on the scan grid. A guarded Newton
+    steps every (level, bracket) pair at once, with one array jet per
+    pass; one more jet at all the roots serves the minimum test, and the
+    energies are assembled elementwise. A level the batch does not settle
+    (no bracket, no admissible minimum, a point where F cannot be
+    evaluated, an energy term that is not finite) is solved again by the
+    scalar solve(), so that its outcome and its error text are the scalar
+    path's. The results agree with solve() to within a few units in the
+    last place, since numpy's and the C library's pow may round apart.
+
+    Each entry is the level's SletBreakdown, or the SletError solve()
+    raises for it, or the ValueError SletProblem raises for a level it
+    rejects.
+    """
+    settings = settings or SolverSettings()
+    results = [None] * len(levels)
+    problems = {}
+    for i, (l, n) in enumerate(levels):
+        try:
+            problems[i] = SletProblem(dim, l, n, potential, settings)
+        except ValueError as exc:
+            results[i] = exc
+    batch = {}
+    if problems:
+        try:
+            with np.errstate(all="ignore"):
+                batch = _solve_batch(dim, potential, settings, [
+                    (i, p.l, p.n_radial) for i, p in problems.items()])
+        except (SletError, ArithmeticError):
+            batch = {}
+    for i, problem in problems.items():
+        try:
+            results[i] = batch[i] if i in batch else solve(problem)
+        except SletError as exc:
+            results[i] = exc
+    return results

@@ -1,15 +1,20 @@
 """End-to-end tests of the command-line frontend.
 
 Everything runs in-process through cli.main so exit codes and the exact
-stdout/stderr payloads are observable without spawning subprocesses.
+stdout/stderr payloads are observable without spawning subprocesses; the
+one exception checks which modules a fresh process ends up importing.
 """
 
 import contextlib
 import csv
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -260,6 +265,29 @@ def test_spectrum_records_per_row_failures(capsys, tmp_path):
         assert row[columns.index("E_total")] == ""
 
 
+def test_spectrum_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma is imported lazily, by np.unique among others, and costs
+    # about 1.7 MB of peak RSS on its own
+    script = (
+        "import sys\n"
+        "from slet import cli\n"
+        "rc = cli.main(['spectrum', '--dim', '3', '--potential', 'power',\n"
+        "              '--param', 'A=1.3', '--param', 'nu=1.7',\n"
+        "              '--l-range', '0..9', '--nr-range', '0..9',\n"
+        "              '--format', 'csv', '--out', 'out.csv'])\n"
+        "assert rc == 0, rc\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = pathlib.Path(slet.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 102
+
+
 def test_spectrum_json_rows(capsys):
     rc, out, _ = run_cli(capsys, "spectrum", "--dim", "3",
                          "--potential", "coulomb",
@@ -336,6 +364,18 @@ def test_sweep_gamma_grid_not_finite(capsys, grid):
                            "--m", "0", "--nr", "0", "--gamma", grid)
     assert rc == 2 and out == ""
     assert err.startswith("error: --gamma")
+
+
+@pytest.mark.parametrize("grid", ["0:1e300:1e-10", "0:1e12:1e-6"])
+def test_sweep_gamma_grid_too_large(capsys, grid):
+    # the first overflows the row count, the second would list 1e18 floats
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "sweep", "--dim", "2", "--potential", "donor",
+                           "--m", "0", "--nr", "0", "--gamma", grid)
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and out == ""
+    assert err.startswith("error: --gamma")
+    assert "rows" in err
 
 
 def test_sweep_empty_grid(capsys):

@@ -17,6 +17,7 @@ from slet.errors import (
     NoBoundStateError,
     NoRootError,
     SingularityError,
+    SletError,
 )
 from slet.jets import Jet
 
@@ -462,3 +463,155 @@ def test_power_law_breakdown_matches_closed_form(A, nu, l, n):
     assert br.w == pytest.approx(ref.w, rel=1e-12)
     assert br.lbar == pytest.approx(ref.lbar, rel=1e-12)
     assert br.E0 == pytest.approx(ref.E0, rel=1e-12)
+
+
+# -- the scalar solve's jets -------------------------------------------------
+
+
+def test_solve_reuses_the_jet_at_r0(monkeypatch):
+    calls = []
+    eval_jet = potentials.Potential.eval_jet
+
+    def counting(self, r0):
+        calls.append(r0)
+        return eval_jet(self, r0)
+
+    monkeypatch.setattr(potentials.Potential, "eval_jet", counting)
+    for dim, pot, l, n in [(2, potentials.donor(5.0, -1), 1, 0),
+                           (3, potentials.coulomb(), 2, 1),
+                           (3, potentials.expression("A*r^nu",
+                                                     {"A": 1.3, "nu": 1.7}), 0, 3)]:
+        problem = SletProblem(dim, l, n, pot)
+        calls.clear()
+        engine.solve_r0(problem)
+        in_solve_r0 = len(calls)
+        calls.clear()
+        engine.solve(problem)
+        assert len(calls) == in_solve_r0, (dim, pot.family, l, n)
+
+
+# -- many levels at once -----------------------------------------------------
+
+_LEVELS = [(l, n) for l in range(10) for n in range(10)]
+
+
+def _assert_matches_scalar(batch, dim, pot, levels, solver):
+    """Each batch result against engine.solve of the same level: breakdowns
+    within the stated tolerances, failures with the same type and text."""
+    assert len(batch) == len(levels)
+    for got, (l, n) in zip(batch, levels):
+        try:
+            want = engine.solve(SletProblem(dim, l, n, pot, solver))
+        except (SletError, ValueError) as exc:
+            assert type(got) is type(exc) and str(got) == str(exc), (l, n)
+            continue
+        assert isinstance(got, engine.SletBreakdown), (l, n, got)
+        for name in ("r0", "w", "beta", "lbar", "E0"):
+            assert getattr(got, name) == pytest.approx(
+                getattr(want, name), rel=1e-14, abs=0.0), (name, l, n)
+        scale = 1e-13 * max(abs(want.E_total), 1.0)
+        for name in ("E2_over_lbar2", "E3_over_lbar3", "E_total"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= scale, \
+                (name, l, n)
+        assert len(got.candidates) == len(want.candidates), (l, n)
+        for (r_got, e_got), (r_want, e_want) in zip(got.candidates,
+                                                    want.candidates):
+            assert r_got == pytest.approx(r_want, rel=1e-14, abs=0.0)
+            assert e_got == pytest.approx(e_want, rel=1e-14, abs=1e-14)
+
+
+_BATCH_POTENTIALS = {
+    "coulomb": potentials.coulomb(),
+    "harmonic": potentials.harmonic(1.7),
+    "power": potentials.power(1.3, 1.7),
+    "log": potentials.log_potential(1.0, 0.7),
+    "expression": potentials.expression("exp(r/10) - 1 + A*r",
+                                        {"A": 0.2}),
+    # two admissible minima on a third of the levels, the lowest E0 at
+    # either: the candidate order and the lowest-E0 choice
+    "wells": potentials.expression("r^2 + 30*exp(-10*(r - 1.5)^2)"),
+}
+
+
+@pytest.mark.parametrize("dim", [3, 2])
+@pytest.mark.parametrize("name", list(_BATCH_POTENTIALS))
+def test_solve_levels_matches_scalar_solve(dim, name):
+    pot = _BATCH_POTENTIALS[name]
+    for order in engine.TERM_ORDERS:
+        solver = SolverSettings(term_order=order)
+        batch = engine.solve_levels(dim, pot, _LEVELS, solver)
+        _assert_matches_scalar(batch, dim, pot, _LEVELS, solver)
+
+
+def test_solve_levels_settles_regular_levels_in_the_batch(monkeypatch):
+    # the scalar path must not be doing the work behind the batch's back
+    def refuse(problem):
+        raise AssertionError(f"scalar solve of l={problem.l}, n={problem.n_radial}")
+
+    monkeypatch.setattr(engine, "solve", refuse)
+    for dim, pot in [(3, potentials.power(1.3, 1.7)),
+                     (2, potentials.coulomb()),
+                     (3, _BATCH_POTENTIALS["expression"])]:
+        batch = engine.solve_levels(dim, pot, _LEVELS, SolverSettings())
+        assert all(isinstance(b, engine.SletBreakdown) for b in batch)
+
+
+def test_solve_levels_narrow_window_keeps_the_scalar_errors(monkeypatch):
+    # bracket_hi = 1 holds the root of the coulomb ground level only, on
+    # the last grid point; every other level goes to the scalar path
+    solver = SolverSettings(bracket_hi=1.0)
+    pot = potentials.coulomb()
+    levels = [(l, n) for l in range(3) for n in range(3)]
+    scalar = []
+    solve = engine.solve
+    monkeypatch.setattr(engine, "solve",
+                        lambda p: scalar.append((p.l, p.n_radial)) or solve(p))
+    batch = engine.solve_levels(3, pot, levels, solver)
+    assert scalar == levels[1:]
+    assert isinstance(batch[0], engine.SletBreakdown) and batch[0].r0 == 1.0
+    assert all(isinstance(b, NoRootError) for b in batch[1:])
+    monkeypatch.undo()
+    _assert_matches_scalar(batch, 3, pot, levels, solver)
+
+
+def test_solve_levels_without_any_bracket():
+    pot = potentials.expression("ln(r - 20)")
+    batch = engine.solve_levels(3, pot, _LEVELS, SolverSettings())
+    assert all(isinstance(b, SletError) for b in batch)
+    _assert_matches_scalar(batch, 3, pot, _LEVELS, SolverSettings())
+
+
+def test_solve_levels_where_a_lane_cannot_be_evaluated():
+    # the polish lands inside the hole of the sqrt (see the scalar test
+    # above); the level goes to the scalar path and keeps its error
+    c = math.sqrt(1.5)
+    pot = potentials.expression(f"r^2 + 1e-6*sqrt((r - {c!r})^2 - 1e-4)")
+    levels = [(0, 0), (3, 1)]
+    batch = engine.solve_levels(3, pot, levels, SolverSettings())
+    assert isinstance(batch[0], InvalidExpansionPointError)
+    _assert_matches_scalar(batch, 3, pot, levels, SolverSettings())
+
+
+def test_solve_levels_empty_single_and_rejected():
+    pot = potentials.power(1.3, 1.7)
+    assert engine.solve_levels(3, pot, [], SolverSettings()) == []
+    one = engine.solve_levels(3, pot, [(4, 2)], SolverSettings())
+    _assert_matches_scalar(one, 3, pot, [(4, 2)], SolverSettings())
+    # a 2D donor needs l = |m|; the other levels carry SletProblem's error
+    donor = potentials.donor(1.0, -1)
+    levels = [(0, 0), (1, 0), (2, 1), (1, 2)]
+    batch = engine.solve_levels(2, donor, levels, SolverSettings())
+    assert [type(b) for b in batch] == [ValueError, engine.SletBreakdown,
+                                        ValueError, engine.SletBreakdown]
+    _assert_matches_scalar(batch, 2, donor, levels, SolverSettings())
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(A=st.floats(0.5, 2.0), nu=st.floats(0.5, 4.0),
+       l=st.integers(0, 9), n=st.integers(0, 9))
+def test_power_law_batch_matches_scalar_solve(A, nu, l, n):
+    pot = potentials.power(A, nu)
+    levels = [(l, n), (n, l), (l + 1, n)]
+    for dim in (3, 2):
+        batch = engine.solve_levels(dim, pot, levels, SolverSettings())
+        _assert_matches_scalar(batch, dim, pot, levels, SolverSettings())
