@@ -165,13 +165,12 @@ def _scan_terms(potential: Potential, r):
     return lhs, w, vp
 
 
-def _sign_changes(f):
+def _sign_changes(f, finite):
     """Mask of the scan cells [i, i+1] along the last axis that bracket a
-    root of F: a sign change, or F exactly zero at the left end."""
-    finite = np.isfinite(f)
-    with np.errstate(all="ignore"):
-        return (finite[..., :-1] & finite[..., 1:]
-                & ((f[..., :-1] == 0.0) | (f[..., :-1] * f[..., 1:] < 0.0)))
+    root of F: a sign change, or F exactly zero at the left end. `finite`
+    is np.isfinite(f)."""
+    return (finite[..., :-1] & finite[..., 1:]
+            & ((f[..., :-1] == 0.0) | (f[..., :-1] * f[..., 1:] < 0.0)))
 
 
 def _jet_at(problem: SletProblem, r: float):
@@ -267,12 +266,14 @@ def _expansion_point(problem: SletProblem):
             "the potential admits no expansion point")
     with np.errstate(all="ignore"):
         f = lhs - problem.l + beta_shift(problem.dim, problem.n_radial, w)
-    if not np.isfinite(f).any():
+        finite = np.isfinite(f)
+        changes = np.flatnonzero(_sign_changes(f, finite))
+    if not finite.any():
         raise InvalidExpansionPointError(
             "frequency undefined across the whole bracket window")
 
     roots = []
-    for i in np.flatnonzero(_sign_changes(f)).tolist():
+    for i in changes.tolist():
         lo, flo = float(grid[i]), float(f[i])
         if flo == 0.0:
             roots.append(lo)
@@ -350,7 +351,7 @@ def appendix_coeffs(dim: int, beta: float, r0: float, Q: float, potjet, w: float
         eps = (-4.0 * beta, 6.0 * beta, -4.0 + e3_tail, 5.0 + e4_tail)
         dlt = (-2.0 * bb, 3.0 * bb, -8.0 * beta, 10.0 * beta,
                -6.0 + d5_tail, 7.0 + d6_tail)
-    rw = np.sqrt(w) if np.ndim(w) else math.sqrt(w)
+    rw = math.sqrt(w) if isinstance(w, float) else np.sqrt(w)
     e = tuple(eps[j] / rw ** (j + 1) for j in range(4))
     d = tuple(dlt[i] / rw ** (i + 1) for i in range(6))
     return eps, dlt, e, d
@@ -521,7 +522,7 @@ def _brackets(dim, grid, lhs, w, levels):
     for n, members in by_n.items():
         f = lhs - np.array([l for _, l in members], dtype=float)[:, None] \
             + beta_shift(dim, n, w)
-        rows, cols = np.nonzero(_sign_changes(f))
+        rows, cols = np.nonzero(_sign_changes(f, np.isfinite(f)))
         ends = np.flatnonzero(f[:, -1] == 0.0)
         for k in rows.tolist() + ends.tolist():
             owner.append(members[k][0])
@@ -606,7 +607,7 @@ def _solve_batch(dim, potential, settings, levels) -> dict:
 
 
 def solve_levels(dim: int, potential: Potential, levels,
-                 settings: SolverSettings | None = None) -> list:
+                 settings: SolverSettings) -> list:
     """solve() for every (l, n_radial) pair of `levels`, one potential.
 
     The levels share one order-6 jet on the scan grid. A guarded Newton
@@ -623,7 +624,6 @@ def solve_levels(dim: int, potential: Potential, levels,
     raises for it, or the ValueError SletProblem raises for a level it
     rejects.
     """
-    settings = settings or SolverSettings()
     results = [None] * len(levels)
     problems = {}
     for i, (l, n) in enumerate(levels):
