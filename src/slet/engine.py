@@ -254,8 +254,22 @@ def _lowest(candidates) -> int:
     return min(range(len(candidates)), key=lambda k: candidates[k][1])
 
 
-def _expansion_point(problem: SletProblem):
-    """solve_r0, plus the potential's jet at the chosen r0."""
+class _ExpansionPoint(tuple):
+    """The (r0, candidates) pair solve_r0 returns. Its `jet` attribute is
+    the potential's jet at r0, made for the minimum test, which solve()
+    reuses."""
+
+
+def solve_r0(problem: SletProblem):
+    """Locate the expansion point.
+
+    Log-spaced scan over the bracket window, then a bracket-guarded Newton
+    polish of every sign change, converged to root_tol relative to r.
+    Among the roots keep those that are genuine minima of the frozen
+    effective energy l̄²/r² + V(r), by its exact curvature 6 l̄²/r⁴ + V''(r),
+    and return the one with the lowest E0 = l̄²/r0² + V(r0), together with
+    every admissible (r0, E0) pair in search order.
+    """
     s = problem.solver
     grid = _scan_grid(s)
     lhs, w, vp = _scan_terms(problem.potential, grid)
@@ -306,21 +320,9 @@ def _expansion_point(problem: SletProblem):
             "of the effective energy; no stable expansion point")
 
     best = _lowest(candidates)
-    return candidates[best][0], candidates, jets_there[best]
-
-
-def solve_r0(problem: SletProblem):
-    """Locate the expansion point.
-
-    Log-spaced scan over the bracket window, then a bracket-guarded Newton
-    polish of every sign change, converged to root_tol relative to r.
-    Among the roots keep those that are genuine minima of the frozen
-    effective energy l̄²/r² + V(r), by its exact curvature 6 l̄²/r⁴ + V''(r),
-    and return the one with the lowest E0 = l̄²/r0² + V(r0), together with
-    every admissible (r0, E0) pair in search order.
-    """
-    r0, candidates, _ = _expansion_point(problem)
-    return r0, candidates
+    found = _ExpansionPoint((candidates[best][0], candidates))
+    found.jet = jets_there[best]
+    return found
 
 
 
@@ -447,7 +449,8 @@ def _energy_terms(dim, l, n_radial, r0, jet, w, term_order) -> dict:
 
 def solve(problem: SletProblem) -> SletBreakdown:
     """Full eigenvalue breakdown for one (l, n) level."""
-    r0, candidates, jet = _expansion_point(problem)
+    found = solve_r0(problem)
+    (r0, candidates), jet = found, found.jet
     terms = _energy_terms(problem.dim, problem.l, problem.n_radial, r0, jet,
                           _omega(jet, r0), problem.solver.term_order)
     return SletBreakdown(**terms, candidates=tuple(candidates))
