@@ -325,8 +325,6 @@ def solve_r0(problem: SletProblem):
     return found
 
 
-
-
 # -- anharmonic coefficient tables ----------------------------------------
 
 
@@ -449,6 +447,7 @@ def _energy_terms(dim, l, n_radial, r0, jet, w, term_order) -> dict:
 
 def solve(problem: SletProblem) -> SletBreakdown:
     """Full eigenvalue breakdown for one (l, n) level."""
+    # through the module-level name, which per-layer tracing wraps
     found = solve_r0(problem)
     (r0, candidates), jet = found, found.jet
     terms = _energy_terms(problem.dim, problem.l, problem.n_radial, r0, jet,
@@ -492,7 +491,8 @@ def _polish_roots(dim, potential, l, n, lo, hi, flo, fhi, tol):
         on_root = f == 0.0
         root[lane[on_root]] = x[on_root]
         same = (f < 0.0) == (flo < 0.0)
-        lo, flo, hi = np.where(same, x, lo), np.where(same, f, flo), np.where(same, hi, x)
+        lo, flo = np.where(same, x, lo), np.where(same, f, flo)
+        hi = np.where(same, hi, x)
         step = np.where((fp != 0.0) & np.isfinite(fp), f / fp, np.nan)
         x_new = x - step
         bisect = ~((lo <= x_new) & (x_new <= hi)) | (

@@ -477,10 +477,10 @@ def test_solve_reuses_the_jet_at_r0(monkeypatch):
         return eval_jet(self, r0)
 
     monkeypatch.setattr(potentials.Potential, "eval_jet", counting)
+    power = potentials.expression("A*r^nu", {"A": 1.3, "nu": 1.7})
     for dim, pot, l, n in [(2, potentials.donor(5.0, -1), 1, 0),
                            (3, potentials.coulomb(), 2, 1),
-                           (3, potentials.expression("A*r^nu",
-                                                     {"A": 1.3, "nu": 1.7}), 0, 3)]:
+                           (3, power, 0, 3)]:
         problem = SletProblem(dim, l, n, pot)
         calls.clear()
         engine.solve_r0(problem)
@@ -546,7 +546,8 @@ def test_solve_levels_matches_scalar_solve(dim, name):
 def test_solve_levels_settles_regular_levels_in_the_batch(monkeypatch):
     # the scalar path must not be doing the work behind the batch's back
     def refuse(problem):
-        raise AssertionError(f"scalar solve of l={problem.l}, n={problem.n_radial}")
+        raise AssertionError(
+            f"scalar solve of l={problem.l}, n={problem.n_radial}")
 
     monkeypatch.setattr(engine, "solve", refuse)
     for dim, pot in [(3, potentials.power(1.3, 1.7)),
