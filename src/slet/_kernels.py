@@ -1,10 +1,9 @@
-"""Sturm-sequence counting kernels.
+"""Sturm-sequence eigenvalue counting.
 
 The oracle spends nearly all its time counting eigenvalues below trial
-shifts, so that loop lives here in two interchangeable forms: a numba
-njit kernel and a pure-numpy one (vectorized over shifts). Selection:
-numba when importable, unless SLET_NUMBA=0 in the environment. Both are
-importable directly for the benchmark and the equivalence tests.
+shifts, so that loop lives here: one numpy kernel that walks the rows and
+is vectorized over the shifts (Barth, Martin & Wilkinson, Numer. Math. 9,
+1967).
 
 Counting rule: for the symmetric tridiagonal matrix with diagonal `diag`
 and squared off-diagonal `off2`, the number of eigenvalues below `shift`
@@ -20,31 +19,17 @@ it (the at-most-shift convention; ties are measure-zero for bisection).
 """
 from __future__ import annotations
 
-import os
+import importlib.util
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# recorded by perfbench/worker.py in its environment record
+BACKEND = "numpy"
+# recorded by perfbench/worker.py; find_spec does not import numba
+HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 
-USE_NUMBA = HAS_NUMBA and os.environ.get("SLET_NUMBA", "1") != "0"
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-
-def sturm_counts_numpy(diag, off2, shifts, pivmin):
+def sturm_counts(diag, off2, shifts, pivmin):
     """Eigenvalue counts below each shift; loop over rows, vector over shifts."""
     shifts = np.asarray(shifts, dtype=np.float64)
     q = diag[0] - shifts
@@ -55,31 +40,3 @@ def sturm_counts_numpy(diag, off2, shifts, pivmin):
         q = np.where(np.abs(q) < pivmin, -pivmin, q)
         counts += q < 0
     return counts
-
-
-@njit(cache=True)
-def _sturm_counts_numba(diag, off2, shifts, pivmin):  # pragma: no cover
-    counts = np.zeros(shifts.shape[0], dtype=np.int64)
-    n = diag.shape[0]
-    for s in range(shifts.shape[0]):
-        x = shifts[s]
-        q = diag[0] - x
-        if -pivmin < q < pivmin:
-            q = -pivmin
-        c = 1 if q < 0 else 0
-        for i in range(1, n):
-            q = diag[i] - x - off2[i - 1] / q
-            if -pivmin < q < pivmin:
-                q = -pivmin
-            if q < 0:
-                c += 1
-        counts[s] = c
-    return counts
-
-
-def sturm_counts_numba(diag, off2, shifts, pivmin):
-    shifts = np.asarray(shifts, dtype=np.float64)
-    return _sturm_counts_numba(diag, off2, shifts, pivmin)
-
-
-sturm_counts = sturm_counts_numba if USE_NUMBA else sturm_counts_numpy

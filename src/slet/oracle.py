@@ -28,7 +28,8 @@ solved from their Gershgorin windows; their h^2 extrapolation places the
 first window on the N-point grid, half as wide as the extrapolated move.
 The h/2 grid is seeded the same way from the N/16 and N-point energies, the
 larger box from the N-point energy. Each multisection pass counts at
-_PROBES evenly spaced shifts, the window's endpoints among them, so every
+_PROBES = 255 evenly spaced shifts (the Sturm kernel's cost per row barely
+depends on their number), the window's endpoints among them, so every
 pass certifies its own window; a window whose counts do not bracket k is
 widened towards the Gershgorin window. The search stops when the window
 is no wider than eig_tol/4, or stops shrinking at float resolution.
@@ -43,14 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import BACKEND, sturm_counts
+from ._kernels import sturm_counts
 from .errors import OracleError
 from .potentials import Potential
 
-# Shifts counted per multisection pass. The numpy kernel's cost per row
-# barely depends on the number of shifts, so it takes many; the numba
-# kernel's cost is proportional to it, so it takes few.
-_PROBES = 255 if BACKEND == "numpy" else 15
+# Shifts counted per multisection pass. The kernel's cost per row barely
+# depends on the number of shifts, so each pass takes many.
+_PROBES = 255
 
 
 @dataclass(frozen=True)

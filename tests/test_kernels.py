@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from slet import _kernels
 
@@ -42,7 +41,7 @@ def test_counts_match_dense_eigensolver():
             0.5 * (eigs[:-1] + eigs[1:]),  # midpoints between neighbors
         ])
         want = np.array([(eigs < s).sum() for s in shifts])
-        got = _kernels.sturm_counts_numpy(diag, off2, shifts, 1e-300)
+        got = _kernels.sturm_counts(diag, off2, shifts, 1e-300)
         assert np.array_equal(got, want), (n, shifts[got != want])
 
 
@@ -52,7 +51,7 @@ def test_counts_match_characteristic_polynomial():
         diag, off = _random_tridiag(rng, n)
         off2 = off * off
         shifts = rng.uniform(-12.0, 12.0, size=25)
-        got = _kernels.sturm_counts_numpy(diag, off2, shifts, 1e-300)
+        got = _kernels.sturm_counts(diag, off2, shifts, 1e-300)
         want = [_charpoly_sign_changes(diag, off2, s) for s in shifts]
         assert got.tolist() == want
 
@@ -62,7 +61,7 @@ def test_shift_exactly_on_a_diagonal_matrix_eigenvalue():
     # clamped to -pivmin before the sign test (at-most-shift convention)
     diag = np.array([1.0, 2.0, 3.0])
     off2 = np.zeros(2)
-    got = _kernels.sturm_counts_numpy(diag, off2, np.array([2.0]), 1e-300)
+    got = _kernels.sturm_counts(diag, off2, np.array([2.0]), 1e-300)
     assert got.tolist() == [2]
 
 
@@ -73,7 +72,7 @@ def test_zero_pivot_mid_recurrence():
     # anything beyond the one eigenvalue genuinely below it
     diag = np.array([2.0, 2.0])
     off2 = np.array([1.0])
-    got = _kernels.sturm_counts_numpy(diag, off2, np.array([1.0, 3.0, 2.0]), 1e-300)
+    got = _kernels.sturm_counts(diag, off2, np.array([1.0, 3.0, 2.0]), 1e-300)
     assert got.tolist() == [1, 2, 1]
 
 
@@ -81,26 +80,5 @@ def test_counts_monotone_in_shift():
     rng = np.random.default_rng(3)
     diag, off = _random_tridiag(rng, 40)
     shifts = np.sort(rng.uniform(-15.0, 15.0, size=60))
-    got = _kernels.sturm_counts_numpy(diag, off * off, shifts, 1e-300)
+    got = _kernels.sturm_counts(diag, off * off, shifts, 1e-300)
     assert np.all(np.diff(got) >= 0)
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_numba_and_numpy_kernels_agree_exactly():
-    rng = np.random.default_rng(7)
-    for n in (2, 9, 33, 257):
-        diag, off = _random_tridiag(rng, n)
-        off2 = off * off
-        shifts = rng.uniform(-20.0, 20.0, size=40)
-        a = _kernels.sturm_counts_numpy(diag, off2, shifts, 1e-300)
-        b = _kernels.sturm_counts_numba(diag, off2, shifts, 1e-300)
-        assert np.array_equal(a, b)
-
-
-def test_dispatcher_matches_flag():
-    if _kernels.USE_NUMBA:
-        assert _kernels.BACKEND == "numba"
-        assert _kernels.sturm_counts is _kernels.sturm_counts_numba
-    else:
-        assert _kernels.BACKEND == "numpy"
-        assert _kernels.sturm_counts is _kernels.sturm_counts_numpy
