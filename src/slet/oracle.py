@@ -52,6 +52,10 @@ from .potentials import Potential
 # depends on the number of shifts, so each pass takes many.
 _PROBES = 255
 
+# the most grid points one config may ask for; the h/2 grid takes twice as
+# many, and every pass holds _PROBES pivots per row in flight
+_MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -61,12 +65,14 @@ class OracleConfig:
     convergence_check: bool = True
 
     def __post_init__(self):
-        if not self.box_radius > 0:
-            raise ValueError("box_radius must be positive")
+        if not (self.box_radius > 0 and math.isfinite(self.box_radius)):
+            raise ValueError("box_radius must be positive and finite")
         if self.grid_points < 100:
             raise ValueError("grid_points must be at least 100")
-        if not self.eig_tol > 0:
-            raise ValueError("eig_tol must be positive")
+        if self.grid_points > _MAX_GRID_POINTS:
+            raise ValueError(f"grid_points must be at most {_MAX_GRID_POINTS}")
+        if not (self.eig_tol > 0 and math.isfinite(self.eig_tol)):
+            raise ValueError("eig_tol must be positive and finite")
 
 
 def for_potential(potential: Potential, eig_tol: float = 1e-5) -> OracleConfig:
@@ -114,8 +120,12 @@ def effective_potential(dim: int, l: int, potential: Potential, r):
 def _operator(dim, l, potential, box_radius, grid_points):
     """Diagonal, squared off-diagonal and spacing of the discretized operator."""
     n = grid_points
+    h = box_radius / n if dim == 2 else box_radius / (n + 1)
+    # h**4 and 1/h**4 must both be normal floats
+    if not 1e-75 < h < 1e75:
+        raise OracleError(f"grid spacing {h:g} of {n} points on "
+                          f"(0, {box_radius:g}] is out of range")
     if dim == 2:
-        h = box_radius / n
         i = np.arange(1, n + 1, dtype=float)
         rho = (i - 0.5) * h
         # effective_potential carries the u-form's (m^2 - 1/4)/rho^2; the
@@ -126,7 +136,6 @@ def _operator(dim, l, potential, box_radius, grid_points):
         # rho_{i+1/2} / sqrt(rho_i rho_{i+1}) / h^2, squared
         off2 = i[:-1] ** 2 / (i[:-1] ** 2 - 0.25) / h**4
     else:
-        h = box_radius / (n + 1)
         r = h * np.arange(1, n + 1, dtype=float)
         diag = 2.0 / h**2 + effective_potential(dim, l, potential, r)
         off2 = np.full(n - 1, 1.0 / h**4)

@@ -476,6 +476,34 @@ def test_validate_table_output(capsys):
     assert "rel diff" in out
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--oracle-tol", "inf"), ("--oracle-tol", "nan"),
+    ("--oracle-R", "inf"), ("--oracle-R", "nan"),
+    ("--oracle-R", "1e300"), ("--oracle-R", "1e-300"),
+])
+def test_validate_rejects_extreme_oracle_inputs(capsys, flag, value):
+    # each ends as a rejected flag (2) or a reported oracle failure (3),
+    # never as an energy and never as a traceback
+    rc, out, err = run_cli(capsys, "validate", "--dim", "3",
+                           "--potential", "coulomb", "--l", "0", "--nr", "0",
+                           "--oracle-N", "500", flag, value)
+    if rc == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert rc == 3 and err == ""
+        assert "oracle failed" in out and "oracle energy" not in out
+
+
+def test_validate_rejects_huge_oracle_grid(capsys):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "validate", "--dim", "3",
+                           "--potential", "coulomb", "--l", "0", "--nr", "0",
+                           "--oracle-N", "1000000000")
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and out == ""
+    assert err == "error: grid_points must be at most 1000000\n"
+
+
 # -- output plumbing -----------------------------------------------------------
 
 
