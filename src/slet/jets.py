@@ -206,21 +206,25 @@ def _sincos(a: Jet):
 
 
 def powr(a: Jet, p) -> Jet:
-    """a**p. Integer p by repeated multiplication (exact for polynomials),
-    anything else as exp(p*ln a), which needs a positive leading value."""
+    """a**p. A finite integer p by square-and-multiply (exact for
+    polynomials, about 2 log2|p| products); anything else, infinities
+    included, as exp(p*ln a), which needs a positive leading value."""
     if isinstance(p, Jet):
         if p.scalar and all(c == 0 for c in p.coeffs[1:]):
             return powr(a, p.coeffs[0])
         return exp(p * ln(a))
-    if _is_scalar(p) and float(p) == int(round(float(p))):
-        n = int(round(float(p)))
+    if _is_scalar(p) and math.isfinite(p) and float(p).is_integer():
+        n = int(p)
         if n == 0:
             one = np.ones_like(a.coeffs[0]) if not _is_scalar(a.coeffs[0]) else 1.0
             return const(one)
         base = a if n > 0 else const(1.0) / a
         out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
+        with np.errstate(all="ignore"):  # huge |n| overflows lanes to inf
+            for bit in bin(abs(n))[3:]:  # the bits below the leading one
+                out = out * out
+                if bit == "1":
+                    out = out * base
         return out
     _check_positive("pow", a.coeffs[0])
     return exp(p * ln(a))

@@ -189,6 +189,21 @@ def test_solve_donor_requires_matching_l(capsys):
     assert "2D donor requires l = |m|" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--l", "0", "--nr", "0"),
+    ("spectrum", "--l-range", "0..1", "--nr-range", "0..1"),
+    ("validate", "--l", "0", "--nr", "0", "--oracle-N", "200"),
+])
+@pytest.mark.parametrize("expr", ["r^1e308", "r^1e309", "r^-1e309"])
+def test_huge_and_infinite_exponents_end_cleanly(capsys, expr, argv):
+    # an integer exponent costs about 2 log2|p| jet products, and an
+    # infinite one takes the exp(p ln r) path; neither may raise
+    start = time.perf_counter()
+    rc, _, _ = run_cli(capsys, *argv, "--dim", "3", "--potential", expr)
+    assert time.perf_counter() - start < 2.0
+    assert rc in (0, 3)
+
+
 def test_argparse_errors_exit_2(capsys):
     rc, _, _ = run_cli(capsys, "solve", "--dim", "3",
                        "--potential", "coulomb", "--nr", "0")  # --l missing

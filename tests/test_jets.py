@@ -112,6 +112,24 @@ def test_elementary_inverses_on_random_jets():
         jets_close(s * s + c * c, jets.const(1.0), tol=1e-11)
 
 
+@pytest.mark.parametrize("r0", [0.7, 1.3])
+def test_integer_power_is_the_binomial_series(r0):
+    # (r0 + h)^n = sum_k n!/(n-k)!/k! r0^(n-k) h^k, for negative n too
+    r = jets.seed(r0)
+    for n in range(-5, 41):
+        got = jets.powr(r, n).coeffs
+        for k in range(jets.NCOEF):
+            want = math.prod(range(n - k + 1, n + 1)) / math.factorial(k) \
+                * r0 ** (n - k)
+            assert abs(got[k] - want) <= 1e-13 * abs(want), (n, k)
+
+
+@pytest.mark.parametrize("p", [float("inf"), -float("inf"), float("nan")])
+def test_non_finite_power_takes_the_exp_ln_path(p):
+    got = jets.powr(jets.seed(2.0), p)
+    assert all(np.isnan(c) or np.isinf(c) or c == 0 for c in got.coeffs)
+
+
 def test_real_power_matches_exp_ln():
     a = jets.seed(2.5)
     p = 1.7
