@@ -18,8 +18,9 @@ The two dimensions use different schemes:
   every m (Mohseni & Colonius, J. Comput. Phys. 157, 2000).
 
 Every result carries its own error estimates: the same eigenvalue on a
-halved spacing (h -> h/2) and in a 1.5x larger box at unchanged h. The
-result counts as converged only when both shifts are below eig_tol. Both
+halved spacing (h -> h/2) and in a box about 1.5x larger, whose radius is
+a whole number of steps of the very same h (so the box shift holds no grid
+change). The result counts as converged only when both shifts are below eig_tol. Both
 schemes gain a factor ~4 per grid doubling, so energy_extrapolated
 (Richardson) is typically far more accurate than either raw value.
 
@@ -117,14 +118,20 @@ def effective_potential(dim: int, l: int, potential: Potential, r):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _operator(dim, l, potential, box_radius, grid_points):
-    """Diagonal, squared off-diagonal and spacing of the discretized operator."""
+def _spacing(dim, box_radius, grid_points):
+    """Grid spacing h of grid_points points on (0, box_radius]."""
+    if dim == 2:
+        return box_radius / grid_points
+    return box_radius / (grid_points + 1)
+
+
+def _operator(dim, l, potential, h, grid_points):
+    """Diagonal and squared off-diagonal of the operator on the grid of
+    grid_points points at spacing h (box radius N h in 2D, (N + 1) h in 3D)."""
     n = grid_points
-    h = box_radius / n if dim == 2 else box_radius / (n + 1)
     # h**4 and 1/h**4 must both be normal floats
     if not 1e-75 < h < 1e75:
-        raise OracleError(f"grid spacing {h:g} of {n} points on "
-                          f"(0, {box_radius:g}] is out of range")
+        raise OracleError(f"grid spacing {h:g} of {n} points is out of range")
     if dim == 2:
         i = np.arange(1, n + 1, dtype=float)
         rho = (i - 0.5) * h
@@ -141,18 +148,17 @@ def _operator(dim, l, potential, box_radius, grid_points):
         off2 = np.full(n - 1, 1.0 / h**4)
     if not np.all(np.isfinite(diag)):
         raise OracleError("effective potential not finite on the grid")
-    return diag, off2, h
+    return diag, off2
 
 
-def _kth_eigenvalue(dim, l, k, potential, box_radius, grid_points, tol,
-                    seed=None):
+def _kth_eigenvalue(dim, l, k, potential, h, grid_points, tol, seed=None):
     """(h, E): the grid spacing and the k-th eigenvalue to within tol/2.
 
     seed is a pair of (h, energy) results on coarser grids, from which the
     first window is extrapolated (see _window); without one the search
     starts from the Gershgorin window, which holds every eigenvalue.
     """
-    diag, off2, h = _operator(dim, l, potential, box_radius, grid_points)
+    diag, off2 = _operator(dim, l, potential, h, grid_points)
     reach = 2.0 * math.sqrt(float(np.max(off2)))
     g_lo, g_hi = float(np.min(diag)) - reach, float(np.max(diag)) + reach
     pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(off2)))
@@ -213,31 +219,32 @@ def eigenvalue(dim: int, l: int, k: int, potential: Potential,
     tol = cfg.eig_tol / 4.0
     box, n = cfg.box_radius, cfg.grid_points
 
-    def level(box_radius, grid_points, seed):
-        return _kth_eigenvalue(dim, l, k, potential, box_radius, grid_points,
-                               tol, seed)
+    def level(h, grid_points, seed):
+        return _kth_eigenvalue(dim, l, k, potential, h, grid_points, tol, seed)
 
     # the coarse pair only places the first window: when a coarse grid is
     # too small to hold the level, or hits a singularity the N-point grid
     # misses, the search starts from the Gershgorin window instead
     try:
-        coarse = (level(box, n // 32, None), level(box, n // 16, None))
+        coarse = tuple(level(_spacing(dim, box, m), m, None)
+                       for m in (n // 32, n // 16))
     except OracleError:
         coarse = None
-    first = level(box, n, coarse)
+    h = _spacing(dim, box, n)
+    first = level(h, n, coarse)
     energy = first[1]
     if not cfg.convergence_check:
         return OracleResult(k=k, energy=energy, energy_refined=energy,
                             box_shift=0.0, converged=False)
 
-    # the h/2 grid, and a 1.5x box at unchanged h
-    if dim == 2:  # h = R / N
+    # the h/2 grid, and a box of about 1.5 R at exactly the same h
+    if dim == 2:  # radius N h
         n_fine, n_box = 2 * n, round(1.5 * n)
-    else:  # h = R / (N + 1)
+    else:  # radius (N + 1) h
         n_fine, n_box = 2 * n + 1, round(1.5 * (n + 1)) - 1
     seed = None if coarse is None else (coarse[1], first)
-    refined = level(box, n_fine, seed)[1]
-    boxed = level(1.5 * box, n_box, seed)[1]
+    refined = level(h / 2, n_fine, seed)[1]
+    boxed = level(h, n_box, seed)[1]
     box_shift = float(boxed - energy)
     # plain bool: the numpy one is not JSON serializable
     converged = bool(abs(refined - energy) < cfg.eig_tol

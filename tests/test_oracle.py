@@ -171,6 +171,16 @@ def test_energy_is_the_matrix_eigenvalue(dim, l, k, pot, radius, n):
     assert abs(res.energy - want) <= cfg.eig_tol / 8.0
 
 
+@pytest.mark.parametrize("dim,l,n", [(3, 0, 500), (2, 1, 501)])
+def test_larger_box_keeps_the_grid_spacing(dim, l, n):
+    # N + 1 odd in 3D, N odd in 2D: a 1.5x box on 1.5x the points would
+    # change h, and the grid change would show up as a box shift
+    pot = potentials.coulomb() if dim == 3 else potentials.donor(0.0, 1)
+    cfg = oracle.OracleConfig(box_radius=40.0, grid_points=n, eig_tol=1e-9)
+    res = oracle.eigenvalue(dim, l, 0, pot, cfg)
+    assert abs(res.box_shift) < 1e-9
+
+
 def test_small_box_is_reported_unconverged():
     # the n=2 hydrogen state reaches far beyond a 6-Bohr box; the box
     # doubling run must expose that instead of quietly returning garbage
