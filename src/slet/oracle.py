@@ -19,10 +19,11 @@ The two dimensions use different schemes:
 
 Every result carries its own error estimates: the same eigenvalue on a
 halved spacing (h -> h/2) and in a box about 1.5x larger, whose radius is
-a whole number of steps of the very same h (so the box shift holds no grid
-change). The result counts as converged only when both shifts are below eig_tol. Both
-schemes gain a factor ~4 per grid doubling, so energy_extrapolated
-(Richardson) is typically far more accurate than either raw value.
+a whole number of steps of the very same h, so that the box shift holds
+no grid change. The result counts as converged only when both shifts are
+below eig_tol. Both schemes gain a factor ~4 per grid doubling, so
+energy_extrapolated (Richardson) is typically far more accurate than
+either raw value.
 
 The search is seeded. Two coarse grids (about N/32 and N/16 points) are
 solved from their Gershgorin windows; their h^2 extrapolation places the
@@ -53,8 +54,8 @@ from .potentials import Potential
 # depends on the number of shifts, so each pass takes many.
 _PROBES = 255
 
-# the most grid points one config may ask for; the h/2 grid takes twice as
-# many, and every pass holds _PROBES pivots per row in flight
+# the most grid points one config may ask for (the h/2 grid takes twice
+# as many); more is a usage error, not an allocation attempt
 _MAX_GRID_POINTS = 10**6
 
 
