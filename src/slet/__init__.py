@@ -49,7 +49,6 @@ from .oracle import (
     OracleResult,
     effective_potential,
     eigenvalue,
-    for_potential,
 )
 from .potentials import (
     Potential,
@@ -74,7 +73,6 @@ __all__ = [
     "SingularityError", "SletError",
     "Jet", "const", "seed",
     "OracleConfig", "OracleResult", "effective_potential", "eigenvalue",
-    "for_potential",
     "Potential", "coulomb", "donor", "expression", "from_name_or_source",
     "harmonic", "log_potential", "power",
 ]

@@ -77,20 +77,6 @@ class OracleConfig:
             raise ValueError("eig_tol must be positive and finite")
 
 
-def for_potential(potential: Potential, eig_tol: float = 1e-5) -> OracleConfig:
-    """Default config adapted to the potential.
-
-    Large magnetic fields localize donor states near the parabola minimum,
-    so the box shrinks with gamma; everything else takes the defaults.
-    """
-    if potential.family == "donor":
-        g = potential.params["gamma"]
-        if g > 0:
-            r = min(40.0, max(5.0, 12.0 / math.sqrt(g)))
-            return OracleConfig(box_radius=r, eig_tol=eig_tol)
-    return OracleConfig(eig_tol=eig_tol)
-
-
 @dataclass(frozen=True)
 class OracleResult:
     k: int

@@ -33,15 +33,6 @@ def test_config_validation():
         oracle.eigenvalue(3, 0, -1, potentials.coulomb())
 
 
-def test_adaptive_config_shrinks_box_with_field():
-    assert oracle.for_potential(potentials.donor(100.0, 0)).box_radius == 5.0
-    assert oracle.for_potential(potentials.donor(4.0, 0)).box_radius == 6.0
-    assert oracle.for_potential(potentials.donor(0.01, 0)).box_radius == 40.0
-    assert oracle.for_potential(potentials.donor(0.0, 0)).box_radius == 40.0
-    assert oracle.for_potential(potentials.coulomb()).box_radius == 40.0
-    assert oracle.for_potential(potentials.coulomb(), eig_tol=1e-8).eig_tol == 1e-8
-
-
 def test_escaped_index_raises():
     cfg = oracle.OracleConfig(grid_points=100, convergence_check=False)
     with pytest.raises(OracleError):
