@@ -58,6 +58,11 @@ _PROBES = 255
 # as many); more is a usage error, not an allocation attempt
 _MAX_GRID_POINTS = 10**6
 
+# the coarsest eigenvalue tolerance a config may ask for; a coarser one is
+# met by the first multisection pass from the Gershgorin window, and would
+# certify any value as converged
+_MAX_EIG_TOL = 1e-2
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -73,8 +78,8 @@ class OracleConfig:
             raise ValueError("grid_points must be at least 100")
         if self.grid_points > _MAX_GRID_POINTS:
             raise ValueError(f"grid_points must be at most {_MAX_GRID_POINTS}")
-        if not (self.eig_tol > 0 and math.isfinite(self.eig_tol)):
-            raise ValueError("eig_tol must be positive and finite")
+        if not (0 < self.eig_tol <= _MAX_EIG_TOL):
+            raise ValueError(f"eig_tol must lie in (0, {_MAX_EIG_TOL:g}]")
 
 
 @dataclass(frozen=True)

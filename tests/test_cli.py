@@ -493,6 +493,7 @@ def test_validate_table_output(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--oracle-tol", "inf"), ("--oracle-tol", "nan"),
+    ("--oracle-tol", "1e300"), ("--oracle-tol", "1"),
     ("--oracle-R", "inf"), ("--oracle-R", "nan"),
     ("--oracle-R", "1e300"), ("--oracle-R", "1e-300"),
 ])
