@@ -6,8 +6,9 @@ quantum numbers), `sweep` (donor energy vs magnetic field), `validate`
 object), csv (RFC 4180, 17 significant digits), table (human-readable).
 
 Exit codes: 0 success, 2 bad flags or inputs (among them a non-finite
---gamma LO, HI or STEP, a --gamma grid of more than 10^6 rows and an --out
-file that cannot be written), 3 computation failure.
+--gamma LO, HI or STEP, a --gamma grid of more than 10^6 rows, a spectrum
+of more than 10^4 levels, an expression nested more than 100 levels deep
+and an --out file that cannot be written), 3 computation failure.
 
 `spectrum` solves all its levels as one batch (engine.solve_levels);
 `solve`, `sweep` and `validate` solve one level per engine.solve call.
@@ -41,6 +42,9 @@ _VALIDATE_COLS = ("E_slet", "E_oracle", "E_oracle_refined",
 
 # the most rows one sweep may ask for; a larger grid is a usage error
 _MAX_GAMMA_ROWS = 10**6
+# the most levels one spectrum may ask for: 10^4 levels x 400 scan points
+# x 8 bytes is 32 MB per array of the batch search
+_MAX_LEVELS = 10**4
 
 _CONFIG_KEYS = {"bracket_lo": float, "bracket_hi": float,
                 "scan_points": int, "root_tol": float}
@@ -269,6 +273,10 @@ def _cmd_solve(args, argv) -> int:
 def _cmd_spectrum(args, argv) -> int:
     l_lo, l_hi = _parse_range(args.l_range, "l-range")
     n_lo, n_hi = _parse_range(args.nr_range, "nr-range")
+    if max(l_hi - l_lo + 1, 0) * max(n_hi - n_lo + 1, 0) > _MAX_LEVELS:
+        raise _UsageError(f"--l-range {args.l_range!r} and --nr-range "
+                          f"{args.nr_range!r} give more than {_MAX_LEVELS} "
+                          f"levels")
     settings = _settings_from(args)
     pot = _potential_from(args.potential, args.param)
     columns = _SOLVE_COLS + ("error",)

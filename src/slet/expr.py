@@ -5,6 +5,10 @@ the operators + - * / ^ (with ** accepted as a synonym for ^), unary minus,
 parentheses, and the functions ln, exp, sqrt, sin, cos. Precedence, tightest
 first: ^ (right associative), unary -, * /, + -. Whitespace is insignificant.
 
+An expression nests at most _MAX_DEPTH levels deep, where every operator,
+function call and parenthesised group is one level; the recursive walkers
+below rely on that bound.
+
 Every parse failure carries the 0-based byte offset of the offending token.
 AST nodes also record their offset so later stages (unbound parameter checks)
 can point back into the source text. Offsets never participate in equality:
@@ -26,6 +30,9 @@ _PREC_ADD = 10
 _PREC_MUL = 20
 _PREC_NEG = 25
 _PREC_POW = 30
+
+# real potentials nest fewer than 20 levels deep
+_MAX_DEPTH = 100
 
 
 # -- AST ----------------------------------------------------------------
@@ -126,9 +133,15 @@ def _lex(src: str):
 
 
 class _Parser:
+    """Precedence climbing. expression, unary and atom return the node and
+    its nesting height; `level` counts the enclosing levels of the one
+    being parsed, so a too-deep source stops before it can exhaust the
+    interpreter's stack."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -144,8 +157,16 @@ class _Parser:
             raise ParseError(f"expected {op!r}", off)
         return self.advance()
 
+    def nested(self, min_prec, off):
+        """A subexpression one level down from the token at `off`."""
+        self.level += 1
+        _check_depth(self.level, off)
+        node, height = self.expression(min_prec)
+        self.level -= 1
+        return node, height + 1
+
     def expression(self, min_prec=0):
-        lhs = self.unary()
+        lhs, height = self.unary()
         while True:
             kind, text, off = self.peek()
             if kind != "op" or text not in "+-*/^":
@@ -156,40 +177,43 @@ class _Parser:
                 break
             self.advance()
             # right associativity only for ^
-            rhs = self.expression(prec if text == "^" else prec + 1)
+            rhs, rhs_height = self.nested(prec if text == "^" else prec + 1, off)
             lhs = BinOp(text, lhs, rhs, off)
-        return lhs
+            height = max(height + 1, rhs_height)
+            _check_depth(height, off)
+        return lhs, height
 
     def unary(self):
         kind, text, off = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.expression(_PREC_NEG), off)
+            arg, height = self.nested(_PREC_NEG, off)
+            return Neg(arg, off), height
         if kind == "op" and text == "+":
             self.advance()
-            return self.expression(_PREC_NEG)
+            return self.nested(_PREC_NEG, off)
         return self.atom()
 
     def atom(self):
         kind, text, off = self.advance()
         if kind == "num":
-            return Num(text, off)
+            return Num(text, off), 0
         if kind == "ident":
             nk, nt, _ = self.peek()
             if nk == "op" and nt == "(":
                 if text not in FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", off)
                 self.advance()
-                arg = self.expression()
+                arg, height = self.nested(0, off)
                 self.expect_op(")")
-                return Call(text, arg, off)
+                return Call(text, arg, off), height
             if text in FUNCTIONS:
                 raise ParseError(f"function {text!r} used without arguments", off)
             if text == VARIABLE:
-                return Var(off)
-            return Param(text, off)
+                return Var(off), 0
+            return Param(text, off), 0
         if kind == "op" and text == "(":
-            inner = self.expression()
+            inner = self.nested(0, off)
             self.expect_op(")")
             return inner
         if kind == "end":
@@ -197,12 +221,18 @@ class _Parser:
         raise ParseError(f"expected a value, got {text!r}", off)
 
 
+def _check_depth(depth, off):
+    if depth > _MAX_DEPTH:
+        raise ParseError(f"expression nests more than {_MAX_DEPTH} levels deep",
+                         off)
+
+
 def parse(src: str):
     """Parse source text into an AST. Raises ParseError with a byte offset."""
     if not src.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_lex(src))
-    ast = parser.expression()
+    ast, _ = parser.expression()
     kind, text, off = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {text!r}", off)

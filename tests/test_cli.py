@@ -204,6 +204,27 @@ def test_huge_and_infinite_exponents_end_cleanly(capsys, expr, argv):
     assert rc in (0, 3)
 
 
+@pytest.mark.parametrize("src", [
+    "(" * 1200 + "r" + ")" * 1200, "-" * 3000 + "r", "r" + "^1" * 3000,
+    "+".join(["r"] * 5000),
+], ids=["parens", "negations", "powers", "sums"])
+def test_deeply_nested_expression_exits_2(capsys, src):
+    rc, out, err = run_cli(capsys, "solve", "--dim", "3", f"--potential={src}",
+                           "--l", "0", "--nr", "0")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_spectrum_rejects_too_many_levels(capsys):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "spectrum", "--dim", "3",
+                           "--potential", "coulomb",
+                           "--l-range", "0..9999", "--nr-range", "0..1")
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "more than 10000 levels" in err
+
+
 def test_argparse_errors_exit_2(capsys):
     rc, _, _ = run_cli(capsys, "solve", "--dim", "3",
                        "--potential", "coulomb", "--nr", "0")  # --l missing

@@ -149,3 +149,14 @@ def test_round_trip_on_random_trees():
         ast = _random_ast(rng, int(rng.integers(1, 5)))
         text = expr.to_string(ast)
         assert expr.parse(text) == ast, text
+
+
+def test_nesting_is_bounded():
+    assert expr.parse("(" * 100 + "r" + ")" * 100) == Var()
+    expr.parse("+".join(["r"] * 101))
+    with pytest.raises(ParseError) as info:
+        expr.parse("(" * 101 + "r" + ")" * 101)
+    assert info.value.offset == 100
+    with pytest.raises(ParseError) as info:
+        expr.parse("+".join(["r"] * 200))
+    assert info.value.offset == 2 * 101 - 1  # the 101st +
