@@ -354,7 +354,9 @@ def evaluate(node, rval, params):
             if nd.op == "*":
                 return a * b
             if nd.op == "/":
-                return a / b
+                # np.divide: a constant 1/0 gives inf, as on an array, where
+                # two Python floats would raise ZeroDivisionError
+                return a / b if jet_mode else np.divide(a, b)
             if jet_mode:
                 base = a if isinstance(a, jets.Jet) else jets.const(a)
                 return jets.powr(base, b)

@@ -17,6 +17,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slet
 from slet import cli
@@ -215,6 +217,16 @@ def test_deeply_nested_expression_exits_2(capsys, src):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_validate_constant_division_by_zero_is_a_failure(capsys):
+    # the oracle evaluates V by value, where 1/0 is a constant; it must
+    # end as the oracle's reported failure, not a ZeroDivisionError
+    rc, out, err = run_cli(capsys, "validate", "--dim", "3",
+                           "--potential", "1/0 + r", "--l", "0", "--nr", "0",
+                           "--oracle-N", "200")
+    assert rc == 3 and err == ""
+    assert "SLET failed" in out and "oracle failed" in out
+
+
 def test_spectrum_rejects_too_many_levels(capsys):
     start = time.perf_counter()
     rc, out, err = run_cli(capsys, "spectrum", "--dim", "3",
@@ -223,6 +235,65 @@ def test_spectrum_rejects_too_many_levels(capsys):
     assert time.perf_counter() - start < 0.5
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and "more than 10000 levels" in err
+
+
+_FUZZ_POTENTIALS = (
+    ("--potential", "coulomb"), ("--potential", "harmonic", "--param", "B=2"),
+    ("--potential", "power", "--param", "A=1", "--param", "nu=1.5"),
+    ("--potential", "log", "--param", "A=1", "--param", "b=2"),
+    ("--potential", "donor", "--param", "gamma=0.5", "--param", "m=1"),
+    ("--potential=-2/r + A*r", "--param", "A=0.1"), ("--potential", "1/0 + r"),
+    ("--potential", "ln(r - 20)"), ("--potential", "harmonic"),
+    ("--potential", "r +"),
+)
+
+
+def _mostly(good, bad):
+    """Each good value four times as likely as each bad one."""
+    return st.sampled_from(tuple(good) * 4 + tuple(bad))
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """Argv of one subcommand: small quantum numbers and ranges, oracle
+    grids of at most 2000 points, gamma grids of at most 20 rows, every
+    format, and now and then a value the CLI must reject."""
+    cmd = draw(st.sampled_from(("solve", "spectrum", "sweep", "validate")))
+    dims = ("2",) if cmd == "sweep" else ("2", "3")
+    argv = [cmd, "--dim", draw(_mostly(dims, ("3", "4"))),
+            "--format", draw(st.sampled_from(("table", "csv", "json"))),
+            "--terms", draw(st.sampled_from(("0", "2", "3")))]
+    if draw(st.booleans()):
+        argv.append("--no-header")
+    small = _mostly(("0", "1", "2", "3"), ("-1",))
+    if cmd == "sweep":
+        lo = draw(st.sampled_from((0.0, 0.5, 2.0)))
+        step = draw(st.sampled_from((0.25, 0.5, 1.0)))
+        hi = lo + step * draw(st.integers(-1, 19))
+        return argv + [
+            "--potential", draw(_mostly(("donor",), ("r",))),
+            "--m", draw(st.sampled_from(("-2", "-1", "0", "1"))),
+            "--nr", draw(small),
+            "--gamma", draw(_mostly((f"{lo}:{hi}:{step}",), ("0:1:0", "nan:1:1")))]
+    argv += draw(st.sampled_from(_FUZZ_POTENTIALS))
+    if cmd == "spectrum":
+        return argv + ["--l-range", f"{draw(small)}..{draw(small)}",
+                       "--nr-range", f"{draw(small)}..{draw(small)}"]
+    argv += ["--l", draw(small), "--nr", draw(small)]
+    if cmd == "validate":
+        argv += ["--oracle-N", draw(st.sampled_from(("100", "500", "2000"))),
+                 "--oracle-R", draw(_mostly(("10", "40"), ("-1",))),
+                 "--oracle-tol", draw(_mostly(("1e-5", "1e-3"), ("1",)))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(argv=_fuzz_argv())
+def test_arbitrary_argv_exits_0_2_or_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 2, 3)
 
 
 def test_argparse_errors_exit_2(capsys):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slet import potentials
-from slet.errors import DomainError, ParseError
+from slet.errors import DomainError, ParseError, SletError
 
 
 def test_coulomb_jet_at_unit_radius():
@@ -120,3 +122,30 @@ def test_eval_jet_at_array_of_points():
     jet = potentials.coulomb().eval_jet(pts)
     assert np.allclose(jet.coeffs[0], -2.0 / pts)
     assert np.allclose(jet.coeffs[1], 2.0 / pts**2)
+
+
+# -- arbitrary text ------------------------------------------------------------
+
+_TOKENS = ("r", "0", "2", "0.5", "1e3", "1e400", "A", "nu", "+", "-", "*", "/",
+           "^", "**", "(", ")", "ln", "exp", "sqrt", "sin", "cos", " ", ".")
+_SOURCES = st.one_of(
+    st.text(alphabet="r0123456789.eE+-*/^() lnexpsqrtcoiA_", max_size=30),
+    st.lists(st.sampled_from(_TOKENS), max_size=20).map("".join))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(src=_SOURCES)
+def test_arbitrary_text_builds_a_potential_or_raises_slet_error(src):
+    # anything else escaping here would reach the CLI as a traceback
+    try:
+        pot = potentials.expression(src, {"A": 1.5, "nu": 0.5})
+    except SletError:
+        return
+    for r in (0.7, np.array([0.5, 1.0, 3.0])):
+        for values in (lambda: pot.eval_jet(r).coeffs, lambda: [pot.value(r)]):
+            try:
+                got = values()
+            except SletError:
+                continue
+            for c in got:
+                assert np.asarray(c, dtype=float).shape in ((), np.shape(r))
