@@ -146,19 +146,19 @@ def beta_shift(dim: int, n_radial, w):
 
 def _scan(potential: Potential, settings: SolverSettings):
     """The log-spaced scan grid over the bracket window, with sqrt(r^3 V'/2)
-    and w(r) on it from one jet, nan where undefined. A level's F(r) is the
-    first term minus l plus beta(w). Raises NoBoundStateError where V' is
-    nowhere positive on the grid."""
+    and w(r) on it from one jet, nan where undefined, without a warning. A
+    level's F(r) is the first term minus l plus beta(w). Raises
+    NoBoundStateError where V' is nowhere positive on the grid."""
     r = np.logspace(math.log10(settings.bracket_lo),
                     math.log10(settings.bracket_hi), settings.scan_points)
-    jet = potential.eval_jet(r)
-    vp = np.asarray(jet.coeffs[1], dtype=float)
-    vpp = 2.0 * np.asarray(jet.coeffs[2], dtype=float)
-    if not np.any(np.isfinite(vp) & (vp > 0)):
-        raise NoBoundStateError(
-            "V' is nowhere positive on the bracket window; "
-            "the potential admits no expansion point")
     with np.errstate(all="ignore"):
+        jet = potential.eval_jet(r)
+        vp = np.asarray(jet.coeffs[1], dtype=float)
+        vpp = 2.0 * np.asarray(jet.coeffs[2], dtype=float)
+        if not np.any(np.isfinite(vp) & (vp > 0)):
+            raise NoBoundStateError(
+                "V' is nowhere positive on the bracket window; "
+                "the potential admits no expansion point")
         radicand = 3.0 + r * vpp / vp
         w = 2.0 * np.sqrt(radicand)
         w = np.where((vp > 0) & (radicand > 0), w, np.nan)

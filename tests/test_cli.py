@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +226,18 @@ def test_validate_constant_division_by_zero_is_a_failure(capsys):
                            "--oracle-N", "200")
     assert rc == 3 and err == ""
     assert "SLET failed" in out and "oracle failed" in out
+
+
+def test_scan_of_an_overflowing_potential_warns_nothing(capsys):
+    # inf * 0 in the scan's jet is masked as nan; it may not also print a
+    # numpy RuntimeWarning next to the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, "solve", "--dim", "3",
+                               "--potential", "1e400*r", "--l", "0", "--nr", "0")
+    assert rc == 3 and out == ""
+    assert err == ("error: V' is nowhere positive on the bracket window; "
+                   "the potential admits no expansion point\n")
 
 
 def test_spectrum_rejects_too_many_levels(capsys):
