@@ -7,8 +7,9 @@ object), csv (RFC 4180, 17 significant digits), table (human-readable).
 
 Exit codes: 0 success, 2 bad flags or inputs (among them a non-finite
 --gamma LO, HI or STEP, a --gamma grid of more than 10^6 rows, a spectrum
-of more than 10^4 levels, an expression nested more than 100 levels deep
-and an --out file that cannot be written), 3 computation failure.
+of more than 10^4 levels, an expression nested more than 100 levels deep,
+an --oracle-tol outside (0, 1e-2] and an --out file that cannot be
+written), 3 computation failure.
 
 `spectrum` solves all its levels as one batch (engine.solve_levels);
 `solve`, `sweep` and `validate` solve one level per engine.solve call.
