@@ -511,10 +511,10 @@ def _brackets(dim, grid, lhs, w, levels):
 
     F is built one radial number at a time, as a (levels of that n) x grid
     array; one array for all levels raised `spectrum` peak RSS from 30.8
-    to 31.6 MB. A level's brackets come in the scalar search's order: its sign
-    changes left to right, then a zero on the last grid point (a cell of
-    its own whose F is 0 at both ends). F = 0 at the left end marks a root
-    on the grid.
+    to 31.6 MB. A level's brackets come in the scalar search's order: its
+    sign changes left to right, then a zero on the last grid point (a cell
+    of its own whose F is 0 at both ends). F = 0 at the left end marks a
+    root on the grid.
     """
     by_n = {}
     for i, l, n in levels:
