@@ -20,8 +20,9 @@ scalar jets. solve_levels() takes many levels of one potential at once: F
 depends on (l, n) only through l and the linear beta(n, w), so one jet on
 the scan grid serves every level, one array jet per Newton pass steps
 every (level, bracket) pair, and the energy assembly (_energy_terms, shared
-with solve) runs elementwise. A level the batch cannot settle falls back to
-solve(), which keeps its outcome and error text.
+with solve) runs elementwise. A level without a bracket takes the scalar
+search's error at once; any other level the batch cannot settle falls back
+to solve(), which keeps its outcome and error text.
 
 All arithmetic is plain 64-bit floating point.
 """
@@ -249,6 +250,19 @@ def _polish_root(problem: SletProblem, lo, hi, flo, fhi) -> float:
         x = x_new
 
 
+def _rootless(settings: SolverSettings, defined) -> SletError:
+    """The error of a level whose F has no bracket on the scan grid: F is
+    nowhere finite (not `defined`), or it never changes sign. Neither text
+    depends on the level."""
+    if not defined:
+        return InvalidExpansionPointError(
+            "frequency undefined across the whole bracket window")
+    return NoRootError(
+        f"no root of the expansion-point equation in "
+        f"[{settings.bracket_lo:g}, {settings.bracket_hi:g}]; widen the "
+        f"bracket window or increase scan_points")
+
+
 def _lowest(candidates) -> int:
     """Index of the (r0, E0) candidate with the lowest E0; the first of
     equal ones wins."""
@@ -277,9 +291,6 @@ def solve_r0(problem: SletProblem):
         f = lhs - problem.l + beta_shift(problem.dim, problem.n_radial, w)
         finite = np.isfinite(f)
         changes = np.flatnonzero(_sign_changes(f, finite))
-    if not finite.any():
-        raise InvalidExpansionPointError(
-            "frequency undefined across the whole bracket window")
 
     roots = []
     for i in changes.tolist():
@@ -293,10 +304,7 @@ def solve_r0(problem: SletProblem):
         roots.append(float(grid[-1]))
 
     if not roots:
-        raise NoRootError(
-            f"no root of the expansion-point equation in "
-            f"[{s.bracket_lo:g}, {s.bracket_hi:g}]; widen the bracket "
-            f"window or increase scan_points")
+        raise _rootless(s, finite.any())
 
     candidates, jets_there = [], []
     for r0 in roots:
@@ -441,12 +449,17 @@ def _energy_terms(dim, l, n_radial, r0, jet, w, term_order) -> dict:
 
 
 def solve(problem: SletProblem) -> SletBreakdown:
-    """Full eigenvalue breakdown for one (l, n) level."""
+    """Full eigenvalue breakdown for one (l, n) level. Raises
+    InvalidExpansionPointError where an energy term is not finite."""
     # through the module-level name, which per-layer tracing wraps
     found = solve_r0(problem)
     (r0, candidates), jet = found, found.jet
     terms = _energy_terms(problem.dim, problem.l, problem.n_radial, r0, jet,
                           _omega(jet, r0), problem.solver.term_order)
+    for name in ("E0", "E1", "E2_over_lbar2", "E3_over_lbar3", "E_total"):
+        if not math.isfinite(terms[name]):
+            raise InvalidExpansionPointError(
+                f"{name} = {terms[name]} at r0 = {r0}; the energy is not finite")
     return SletBreakdown(**terms, candidates=tuple(candidates))
 
 
@@ -538,15 +551,21 @@ def _brackets(dim, grid, lhs, w, levels):
 
 
 def _solve_batch(dim, potential, settings, levels) -> dict:
-    """{index: SletBreakdown} of the (index, l, n) levels that the batch
-    search settles. A level is left out when its scalar search would
-    raise, or a lane of it hit a point where F cannot be evaluated, or one
-    of its energy terms is not finite. Raises the scan's NoBoundStateError,
-    which the scalar search raises for every level too."""
+    """{index: SletBreakdown or SletError} of the (index, l, n) levels
+    that the batch search settles. A level without a bracket gets the
+    scalar search's error at once. A level is left out when a lane of it
+    hit a point where F cannot be evaluated, or it has no admissible
+    minimum, or one of its energy terms is not finite. Raises the scan's
+    NoBoundStateError, which the scalar search raises for every level too."""
     grid, lhs, w_grid = _scan(potential, settings)
     owner, l, n, cell, f_lo, f_hi = _brackets(dim, grid, lhs, w_grid, levels)
+    bracketed, out = set(owner), {}
+    for i, li, ni in levels:
+        if i not in bracketed:
+            f = lhs - li + beta_shift(dim, ni, w_grid)
+            out[i] = _rootless(settings, np.isfinite(f).any())
     if not owner:
-        return {}
+        return out
 
     roots = grid[cell]
     lanes = f_lo != 0.0
@@ -582,7 +601,7 @@ def _solve_batch(dim, potential, settings, levels) -> dict:
             candidates[i] = [(r_list[s], e0_list[s]) for s in admissible]
             chosen.append(admissible[_lowest(candidates[i])])
     if not chosen:
-        return {}
+        return out
 
     chosen = np.array(chosen)
     terms = _energy_terms(dim, l[chosen], n[chosen], roots[chosen],
@@ -594,7 +613,6 @@ def _solve_batch(dim, potential, settings, levels) -> dict:
         layout.append((len(columns), len(t) if isinstance(t, tuple) else 0))
         columns += t if isinstance(t, tuple) else (t,)
     finite = np.logical_and.reduce([np.isfinite(c) for c in columns])
-    out = {}
     for s, ok_j, row in zip(chosen.tolist(), finite.tolist(),
                             zip(*(c.tolist() for c in columns))):
         if ok_j:
@@ -612,12 +630,14 @@ def solve_levels(dim: int, potential: Potential, levels,
     The levels share one order-6 jet on the scan grid. A guarded Newton
     steps every (level, bracket) pair at once, with one array jet per
     pass; one more jet at all the roots serves the minimum test, and the
-    energies are assembled elementwise. A level the batch does not settle
-    (no bracket, no admissible minimum, a point where F cannot be
-    evaluated, an energy term that is not finite) is solved again by the
-    scalar solve(), so that its outcome and its error text are the scalar
-    path's. The results agree with solve() to within a few units in the
-    last place, since numpy's and the C library's pow may round apart.
+    energies are assembled elementwise. The scan's error and that of a
+    level without a bracket are the scalar search's and need no second
+    scan. A level the batch does not settle otherwise (no admissible
+    minimum, a point where F cannot be evaluated, an energy term that is
+    not finite) is solved again by the scalar solve(), so that its outcome
+    and its error text are the scalar path's. The results agree with
+    solve() to within a few units in the last place, since numpy's and the
+    C library's pow may round apart.
 
     Each entry is the level's SletBreakdown, or the SletError solve()
     raises for it, or the ValueError SletProblem raises for a level it
@@ -636,6 +656,8 @@ def solve_levels(dim: int, potential: Potential, levels,
             with np.errstate(all="ignore"):
                 batch = _solve_batch(dim, potential, settings, [
                     (i, p.l, p.n_radial) for i, p in problems.items()])
+        except NoBoundStateError as exc:  # the scan's, the same for every level
+            batch = dict.fromkeys(problems, exc)
         except (SletError, ArithmeticError):
             batch = {}
     for i, problem in problems.items():

@@ -9,6 +9,9 @@ An expression nests at most _MAX_DEPTH levels deep, where every operator,
 function call and parenthesised group is one level; the recursive walkers
 below rely on that bound.
 
+evaluate() walks floats, arrays and Jets alike. Numbers stay numbers, so
+a Jet is built only in the subtrees that contain r.
+
 Every parse failure carries the 0-based byte offset of the offending token.
 AST nodes also record their offset so later stages (unbound parameter checks)
 can point back into the source text. Offsets never participate in equality:
@@ -322,29 +325,29 @@ _NUM_FUNCS = {"ln": np.log, "exp": np.exp, "sqrt": np.sqrt,
 
 
 def evaluate(node, rval, params):
-    """Evaluate the AST at `rval`.
+    """Evaluate the AST at `rval`: a float, an ndarray or a Jet.
 
-    rval may be a Jet (derivative-carrying evaluation) or a plain
-    float/ndarray (value-only evaluation). Parameters are plain numbers.
+    Numbers and parameters stay plain numbers, and each operator works on
+    whatever its operands are. Two plain numbers divide and power through
+    numpy, so a constant 1/0 is inf, as on an array, and never raises.
     """
-    jet_mode = isinstance(rval, jets.Jet)
 
     def ev(nd):
         if isinstance(nd, Num):
-            return jets.const(nd.value) if jet_mode else nd.value
+            return nd.value
         if isinstance(nd, Var):
             return rval
         if isinstance(nd, Param):
             try:
-                v = params[nd.name]
+                return float(params[nd.name])
             except KeyError:
                 raise ParseError(f"unbound parameter {nd.name!r}", nd.offset) from None
-            return jets.const(float(v)) if jet_mode else float(v)
         if isinstance(nd, Neg):
             return -ev(nd.arg)
         if isinstance(nd, Call):
-            fn = (_JET_FUNCS if jet_mode else _NUM_FUNCS)[nd.fn]
-            return fn(ev(nd.arg))
+            x = ev(nd.arg)
+            fns = _JET_FUNCS if isinstance(x, jets.Jet) else _NUM_FUNCS
+            return fns[nd.fn](x)
         if isinstance(nd, BinOp):
             a, b = ev(nd.lhs), ev(nd.rhs)
             if nd.op == "+":
@@ -353,14 +356,12 @@ def evaluate(node, rval, params):
                 return a - b
             if nd.op == "*":
                 return a * b
+            if not (isinstance(a, jets.Jet) or isinstance(b, jets.Jet)):
+                return np.divide(a, b) if nd.op == "/" else np.power(a, b)
             if nd.op == "/":
-                # np.divide: a constant 1/0 gives inf, as on an array, where
-                # two Python floats would raise ZeroDivisionError
-                return a / b if jet_mode else np.divide(a, b)
-            if jet_mode:
-                base = a if isinstance(a, jets.Jet) else jets.const(a)
-                return jets.powr(base, b)
-            return np.power(a, b)
+                return a / b
+            # a base free of r takes the exponent's exp(b ln a) path as a Jet
+            return jets.powr(a if isinstance(a, jets.Jet) else jets.const(a), b)
         raise TypeError(f"not an AST node: {nd!r}")
 
     return ev(node)

@@ -10,6 +10,10 @@ domain violations raise (SingularityError with the function name and the
 offending value). With arrays the same operations run element-wise and
 invalid lanes silently become nan/inf for the caller to mask; that is what
 the expansion-point scan relies on.
+
+A plain number operand is a constant: + and - touch a0 alone, * and /
+scale the seven coefficients (Griewank & Walther, Evaluating Derivatives,
+ch. 13).
 """
 from __future__ import annotations
 
@@ -44,10 +48,6 @@ class Jet:
     def value(self):
         return self.coeffs[0]
 
-    @property
-    def scalar(self) -> bool:
-        return all(_is_scalar(c) for c in self.coeffs)
-
     def derivative(self, k: int):
         """k-th derivative at the expansion point, i.e. k! * a_k."""
         if not isinstance(k, (int, np.integer)) or not 0 <= k <= ORDER:
@@ -57,27 +57,31 @@ class Jet:
     def __repr__(self):
         return f"Jet({list(self.coeffs)!r})"
 
-    # -- arithmetic ---------------------------------------------------
+    # -- arithmetic: the other operand is a Jet or a plain number --------
+
+    # numpy scalars and arrays defer to the reflected operators below
+    __array_ufunc__ = None
 
     def __add__(self, other):
-        o = _coerce(other)
-        return Jet(a + b for a, b in zip(self.coeffs, o.coeffs))
+        if isinstance(other, Jet):
+            return Jet(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return Jet((self.coeffs[0] + other,) + self.coeffs[1:])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(other)
-        return Jet(a - b for a, b in zip(self.coeffs, o.coeffs))
+        return self + -other
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return -self + other
 
     def __neg__(self):
         return Jet(-a for a in self.coeffs)
 
     def __mul__(self, other):
-        o = _coerce(other)
-        a, b = self.coeffs, o.coeffs
+        if not isinstance(other, Jet):
+            return Jet(a * other for a in self.coeffs)
+        a, b = self.coeffs, other.coeffs
         return Jet(
             sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(NCOEF)
         )
@@ -85,30 +89,25 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _coerce(other)
-        a, b = self.coeffs, o.coeffs
-        if _is_scalar(b[0]) and b[0] == 0:
+        b0 = other.coeffs[0] if isinstance(other, Jet) else other
+        if _is_scalar(b0) and b0 == 0:
             raise SingularityError("jet division by zero leading coefficient")
-        w = []
         with np.errstate(all="ignore"):
+            if not isinstance(other, Jet):
+                return Jet(a / other for a in self.coeffs)
+            a, b, w = self.coeffs, other.coeffs, []
             for k in range(NCOEF):
                 acc = a[k]
                 for j in range(k):
                     acc = acc - w[j] * b[k - j]
-                w.append(acc / b[0])
+                w.append(acc / b0)
         return Jet(w)
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        return const(other) / self
 
     def __pow__(self, p):
         return powr(self, p)
-
-
-def _coerce(x) -> Jet:
-    if isinstance(x, Jet):
-        return x
-    return const(x)
 
 
 def const(c) -> Jet:
@@ -207,18 +206,17 @@ def _sincos(a: Jet):
 
 def powr(a: Jet, p) -> Jet:
     """a**p. A finite integer p by square-and-multiply (exact for
-    polynomials, about 2 log2|p| products); anything else, infinities
-    included, as exp(p*ln a), which needs a positive leading value."""
+    polynomials, about 2 log2|p| products); any other number, infinities
+    included, and a Jet p (an exponent that depends on r) as exp(p*ln a),
+    which needs a positive leading value."""
     if isinstance(p, Jet):
-        if p.scalar and all(c == 0 for c in p.coeffs[1:]):
-            return powr(a, p.coeffs[0])
         return exp(p * ln(a))
     if _is_scalar(p) and math.isfinite(p) and float(p).is_integer():
         n = int(p)
         if n == 0:
             one = np.ones_like(a.coeffs[0]) if not _is_scalar(a.coeffs[0]) else 1.0
             return const(one)
-        base = a if n > 0 else const(1.0) / a
+        base = a if n > 0 else 1.0 / a
         out = base
         with np.errstate(all="ignore"):  # huge |n| overflows lanes to inf
             for bit in bin(abs(n))[3:]:  # the bits below the leading one

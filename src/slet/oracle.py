@@ -69,7 +69,6 @@ class OracleConfig:
     box_radius: float = 40.0
     grid_points: int = 4000
     eig_tol: float = 1e-5
-    convergence_check: bool = True
 
     def __post_init__(self):
         if not (self.box_radius > 0 and math.isfinite(self.box_radius)):
@@ -162,11 +161,13 @@ def _kth_eigenvalue(dim, l, k, potential, h, grid_points, tol, seed=None):
             lo, hi = max(s_lo, g_lo), min(s_hi, g_hi)
     # multisection: keep the subinterval whose right edge first reaches
     # count > k, until the window is narrower than tol; a window that does
-    # not bracket the level grows on the side the level lies
+    # not bracket the level grows on the side the level lies, by at least
+    # one float step, so that a window rounding has closed (a seed's guess
+    # with a half-width below its ulp) still moves
     while True:
         probes = np.linspace(lo, hi, _PROBES)
         counts = sturm_counts(diag, off2, probes, pivmin)
-        grow = (_PROBES - 1) * (hi - lo)
+        grow = max((_PROBES - 1) * (hi - lo), float(np.spacing(abs(lo))))
         if counts[0] > k:
             if lo == g_lo:
                 break
@@ -225,9 +226,6 @@ def eigenvalue(dim: int, l: int, k: int, potential: Potential,
     h = _spacing(dim, box, n)
     first = level(h, n, coarse)
     energy = first[1]
-    if not cfg.convergence_check:
-        return OracleResult(k=k, energy=energy, energy_refined=energy,
-                            box_shift=0.0, converged=False)
 
     # the h/2 grid, and a box of about 1.5 R at exactly the same h
     if dim == 2:  # radius N h

@@ -228,6 +228,42 @@ def test_validate_constant_division_by_zero_is_a_failure(capsys):
     assert "SLET failed" in out and "oracle failed" in out
 
 
+@pytest.mark.parametrize("src", ["1e400 + r", "1e300*1e300 + r", "1/0 + r"])
+def test_non_finite_energy_is_an_error(capsys, src):
+    # a constant that overflows is folded to inf; the energy it gives is
+    # an error (exit 3, an error row), never a printed inf
+    rc, out, err = run_cli(capsys, "solve", "--dim", "3", f"--potential={src}",
+                           "--l", "0", "--nr", "0")
+    assert rc == 3 and out == ""
+    assert err.startswith("error: E0 = inf at r0 = ")
+    rc, out, err = run_cli(capsys, "spectrum", "--dim", "3",
+                           f"--potential={src}", "--l-range", "0..1",
+                           "--nr-range", "0..1", "--format", "csv")
+    assert rc == 0 and err == ""
+    _, columns, rows = read_csv(out)
+    assert len(rows) == 4
+    for row in rows:
+        assert "the energy is not finite" in row[columns.index("error")]
+        assert row[columns.index("E_total")] == ""
+
+
+@pytest.mark.parametrize("tol", ["1e-18", "1e-20"])
+def test_validate_tolerance_below_float_resolution_returns(tmp_path, tol):
+    # the larger box's window, seeded at the N-point energy with a
+    # half-width below its ulp, once closed to a point and looped there
+    src = pathlib.Path(slet.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    done = subprocess.run(
+        [sys.executable, "-m", "slet.cli", "validate", "--dim", "3",
+         "--potential", "coulomb", "--l", "0", "--nr", "0",
+         "--oracle-N", "200", "--oracle-tol", tol, "--no-header"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0 and done.stderr == ""
+    assert "oracle converged     False" in done.stdout
+
+
 def test_scan_of_an_overflowing_potential_warns_nothing(capsys):
     # inf * 0 in the scan's jet is masked as nan; it may not also print a
     # numpy RuntimeWarning next to the error line

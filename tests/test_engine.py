@@ -559,7 +559,8 @@ def test_solve_levels_settles_regular_levels_in_the_batch(monkeypatch):
 
 def test_solve_levels_narrow_window_keeps_the_scalar_errors(monkeypatch):
     # bracket_hi = 1 holds the root of the coulomb ground level only, on
-    # the last grid point; every other level goes to the scalar path
+    # the last grid point; every other level has no bracket and takes the
+    # scalar search's NoRootError without reaching the scalar path
     solver = SolverSettings(bracket_hi=1.0)
     pot = potentials.coulomb()
     levels = [(l, n) for l in range(3) for n in range(3)]
@@ -568,11 +569,36 @@ def test_solve_levels_narrow_window_keeps_the_scalar_errors(monkeypatch):
     monkeypatch.setattr(engine, "solve",
                         lambda p: scalar.append((p.l, p.n_radial)) or solve(p))
     batch = engine.solve_levels(3, pot, levels, solver)
-    assert scalar == levels[1:]
+    assert scalar == []
     assert isinstance(batch[0], engine.SletBreakdown) and batch[0].r0 == 1.0
     assert all(isinstance(b, NoRootError) for b in batch[1:])
     monkeypatch.undo()
     _assert_matches_scalar(batch, 3, pot, levels, solver)
+
+
+@pytest.mark.parametrize("src,error", [
+    ("-r", NoBoundStateError),  # the scan's error
+    ("-1/r^3", InvalidExpansionPointError),  # 3 + r V''/V' = -1: no F
+    ("1e13*r", NoRootError),  # F > 0 on the whole window
+])
+def test_solve_levels_gives_rootless_levels_the_scalar_error(monkeypatch,
+                                                            src, error):
+    pot = potentials.expression(src)
+    solve = engine.solve
+    monkeypatch.setattr(engine, "solve", lambda p: pytest.fail("scalar path"))
+    batch = engine.solve_levels(3, pot, _LEVELS, SolverSettings())
+    assert all(type(b) is error for b in batch)
+    monkeypatch.setattr(engine, "solve", solve)
+    _assert_matches_scalar(batch, 3, pot, _LEVELS, SolverSettings())
+
+
+@pytest.mark.parametrize("src", ["1e400 + r", "1e300*1e300 + r", "1/0 + r"])
+def test_non_finite_energy_raises(src):
+    pot = potentials.expression(src)
+    with pytest.raises(InvalidExpansionPointError, match="not finite"):
+        engine.solve(_problem(pot))
+    batch = engine.solve_levels(3, pot, _LEVELS[:4], SolverSettings())
+    _assert_matches_scalar(batch, 3, pot, _LEVELS[:4], SolverSettings())
 
 
 def test_solve_levels_without_any_bracket():

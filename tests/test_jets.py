@@ -137,7 +137,18 @@ def test_real_power_matches_exp_ln():
 
 
 # builtin hand-coded jets vs the same potential parsed and evaluated
-# through jet arithmetic, all orders, random points
+# through jet arithmetic, in several spellings, all orders, random points;
+# {name} in a spelling is that parameter's value as a literal
+SPELLINGS = {
+    "coulomb": ["-2/r", "-2*exp(-ln(r))", "2/(-r)", "-2*r^-1"],
+    "harmonic": ["B^2*r^2/4", "({B}*r/2)^2", "B*B*r*r*0.25"],
+    "power": ["A*r^nu", "{A}*sqrt(r^(2*{nu}))", "A*exp(nu*ln(r))"],
+    "log": ["A*ln(r/b)", "{A}*ln(r)-{A}*ln({b})", "-A*ln(b/r)"],
+    "donor": ["-2/r + m*gamma + gamma^2*r^2/4",
+              "({gamma}*r/2)^2 - 2/r + {m}*{gamma}"],
+}
+
+
 def test_builtins_match_expression_jets():
     rng = np.random.default_rng(101)
     builtins = [
@@ -148,13 +159,75 @@ def test_builtins_match_expression_jets():
         potentials.donor(2.2, -1),
     ]
     for pot in builtins:
-        alt = potentials.expression(pot.as_expression(), pot.params)
-        for r0 in rng.uniform(0.1, 50.0, size=20):
-            a = pot.eval_jet(float(r0))
-            b = alt.eval_jet(float(r0))
-            for k in range(7):
-                x, y = a.derivative(k), b.derivative(k)
-                assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
+        assert SPELLINGS[pot.family][0] == pot.as_expression()
+        points = rng.uniform(0.1, 50.0, size=20)
+        for spelling in SPELLINGS[pot.family]:
+            src = spelling.format(**{k: repr(v) for k, v in pot.params.items()})
+            alt = potentials.expression(src, pot.params)
+            for r0 in points:
+                a = pot.eval_jet(float(r0))
+                b = alt.eval_jet(float(r0))
+                for k in range(7):
+                    x, y = a.derivative(k), b.derivative(k)
+                    assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y)), \
+                        (src, r0, k)
+
+
+@pytest.mark.parametrize("src,value", [("0", 0.0), ("2^0.5", 2**0.5),
+                                       ("ln(exp(3))*4", 12.0)])
+def test_a_source_free_of_r_is_a_constant_jet(src, value):
+    pot = potentials.expression(src)
+    for r0 in (1.5, np.array([0.5, 2.0])):
+        jet = pot.eval_jet(r0)
+        assert isinstance(jet, jets.Jet)
+        assert jet.coeffs[0] == pytest.approx(value, rel=1e-15)
+        assert all(np.all(c == 0.0) for c in jet.coeffs[1:])
+
+
+def test_an_exponent_that_depends_on_r():
+    # 2^r = exp(r ln 2): c_k = 2^r0 (ln 2)^k / k!
+    for r0 in (0.3, 1.7, 4.0):
+        got = potentials.expression("2^r").eval_jet(r0).coeffs
+        want = [2**r0 * math.log(2) ** k / math.factorial(k)
+                for k in range(jets.NCOEF)]
+        assert got == pytest.approx(want, rel=1e-14)
+    # r^r: (r^r)' = r^r (ln r + 1), (r^r)'' = r^r ((ln r + 1)^2 + 1/r)
+    for r0 in (0.3, 1.7, 4.0):
+        jet = potentials.expression("r^r").eval_jet(r0)
+        u = math.log(r0) + 1.0
+        assert jet.derivative(0) == pytest.approx(r0**r0, rel=1e-14)
+        assert jet.derivative(1) == pytest.approx(r0**r0 * u, rel=1e-14)
+        assert jet.derivative(2) == pytest.approx(
+            r0**r0 * (u * u + 1.0 / r0), rel=1e-14)
+    with pytest.raises(SingularityError):
+        potentials.expression("(-2)^r").eval_jet(1.0)
+
+
+def test_division_of_r_by_zero_is_a_singularity():
+    for r0 in (1.5, np.array([0.5, 2.0])):
+        with pytest.raises(SingularityError):
+            potentials.expression("r/0").eval_jet(r0)
+        with pytest.raises(SingularityError):
+            potentials.expression("r/(2 - 2)").eval_jet(r0)
+
+
+def test_a_constant_division_by_zero_folds_to_inf():
+    jet = potentials.expression("1/0 + r").eval_jet(2.0)
+    assert jet.coeffs[:2] == (math.inf, 1.0)
+
+
+def test_plain_numbers_act_on_a_jet_directly():
+    r = jets.seed(1.5)
+    for two in (2, 2.0, np.float64(2.0)):
+        assert (r * two).coeffs == (two * r).coeffs == (3.0, 2.0) + (0.0,) * 5
+        assert (r / two).coeffs == (0.75, 0.5) + (0.0,) * 5
+        assert (r + two).coeffs == (two + r).coeffs == (3.5, 1.0) + (0.0,) * 5
+        assert (r - two).coeffs == (-0.5, 1.0) + (0.0,) * 5
+        assert (two - r).coeffs[:2] == (0.5, -1.0)
+        assert (two / r).coeffs == (jets.const(2.0) / r).coeffs
+        assert isinstance(two * r, jets.Jet) and isinstance(two / r, jets.Jet)
+    with pytest.raises(SingularityError):
+        r / 0.0
 
 
 # fourth-order central differences on parsed expressions, orders 1-3;
@@ -196,9 +269,7 @@ def test_array_seed_matches_scalar_loop():
             assert batch.coeffs[k][i] == pytest.approx(single.coeffs[k], rel=1e-14)
 
 
-def test_jet_value_and_scalar_flags():
-    j = jets.seed(2.0)
-    assert j.value == 2.0
-    assert j.scalar
+def test_jet_value():
+    assert jets.seed(2.0).value == 2.0
     arr = jets.seed(np.array([1.0, 2.0]))
-    assert not arr.scalar
+    assert np.array_equal(arr.value, [1.0, 2.0])

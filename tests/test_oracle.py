@@ -34,32 +34,22 @@ def test_config_validation():
 
 
 def test_escaped_index_raises():
-    cfg = oracle.OracleConfig(grid_points=100, convergence_check=False)
+    cfg = oracle.OracleConfig(grid_points=100)
     with pytest.raises(OracleError):
         oracle.eigenvalue(3, 0, 100, potentials.coulomb(), cfg)
 
 
 def test_non_finite_effective_potential_raises():
     pot = potentials.expression("ln(r - 20)")
-    cfg = oracle.OracleConfig(grid_points=100, convergence_check=False)
+    cfg = oracle.OracleConfig(grid_points=100)
     with pytest.raises(OracleError):
         oracle.eigenvalue(3, 0, 0, pot, cfg)
 
 
 def test_tolerance_below_float_resolution_terminates():
-    cfg = oracle.OracleConfig(grid_points=200, eig_tol=1e-20,
-                              convergence_check=False)
+    cfg = oracle.OracleConfig(grid_points=200, eig_tol=1e-20)
     res = oracle.eigenvalue(3, 0, 0, potentials.coulomb(), cfg)
     assert res.energy == pytest.approx(-1.0, abs=0.05)
-
-
-def test_skipping_convergence_check_is_explicit_in_the_result():
-    cfg = oracle.OracleConfig(grid_points=500, convergence_check=False)
-    res = oracle.eigenvalue(3, 0, 0, potentials.coulomb(), cfg)
-    assert res.energy_refined == res.energy
-    assert res.box_shift == 0.0
-    assert res.converged is False
-    assert res.energy_extrapolated == pytest.approx(res.energy, rel=1e-15)
 
 
 def test_hydrogen_ground_state():
@@ -80,7 +70,7 @@ def test_linear_potential_ground_state():
 
 
 def test_levels_increase_with_node_count():
-    cfg = oracle.OracleConfig(grid_points=2000, convergence_check=False)
+    cfg = oracle.OracleConfig(grid_points=2000)
     es = [oracle.eigenvalue(3, 0, k, potentials.coulomb(), cfg).energy
           for k in range(3)]
     assert es[0] < es[1] < es[2]
@@ -97,7 +87,7 @@ def test_second_order_grid_convergence():
         errs = []
         for n in (1000, 2000):
             cfg = oracle.OracleConfig(box_radius=radius, grid_points=n,
-                                      eig_tol=1e-9, convergence_check=False)
+                                      eig_tol=1e-9)
             errs.append(oracle.eigenvalue(3, 0, 0, pot, cfg).energy - exact)
         ratio = errs[0] / errs[1]
         assert 2.5 < ratio < 6.0, (pot.family, errs)
@@ -113,7 +103,7 @@ def test_two_dimensional_scheme_is_second_order_for_every_m(m):
     errs = []
     for n in (400, 800):
         cfg = oracle.OracleConfig(box_radius=8.0, grid_points=n,
-                                  eig_tol=1e-9, convergence_check=False)
+                                  eig_tol=1e-9)
         errs.append(oracle.eigenvalue(2, abs(m), 0, pot, cfg).energy - exact)
     assert 3.5 < errs[0] / errs[1] < 4.5, errs
 
@@ -208,9 +198,8 @@ def test_expansion_matches_oracle_on_exact_families(pot, cases):
     potentials.log_potential(1.0, 1.0),
 ])
 def test_expansion_tracks_oracle_on_generic_confining_potentials(pot):
-    cfg = oracle.OracleConfig(convergence_check=False)
     for l in range(3):
         for n in range(3):
-            res = oracle.eigenvalue(3, l, n, pot, cfg)
+            res = oracle.eigenvalue(3, l, n, pot)
             br = engine.solve(engine.SletProblem(3, l, n, pot))
             assert br.E_total == pytest.approx(res.energy, rel=5e-3), (l, n)
