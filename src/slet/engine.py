@@ -16,11 +16,14 @@ assembled from the zeroth-order term plus second- and third-order corrections
 driven by the anharmonicity coefficients alpha1, alpha2.
 
 Two paths share that method. solve() and solve_r0() take one level with
-scalar jets. solve_levels() takes many levels of one potential at once: F
-depends on (l, n) only through l and the linear beta(n, w), so one jet on
-the scan grid serves every level, one array jet per Newton pass steps
-every (level, bracket) pair, and the energy assembly (_energy_terms, shared
-with solve) runs elementwise. A level without a bracket takes the scalar
+scalar jets. solve_levels() takes many levels at once, as lanes that carry
+their own l, n and potential parameters: F depends on (l, n) only through
+l and the linear beta(n, w), so one jet on the scan grid, with a row per
+parameter row, serves every level; one array jet per Newton pass steps
+every (level, bracket) pair, each with its own parameters; and the energy
+assembly (_energy_terms, shared with solve) runs elementwise. A `spectrum`
+is the one-row case, many levels of one potential; a `sweep` gives each
+level a donor of its own gamma. A level without a bracket takes the scalar
 search's error at once; any other level the batch cannot settle falls back
 to solve(), which keeps its outcome and error text.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .errors import (
     SletError,
 )
 from .jets import Jet
-from .potentials import Potential
+from .potentials import Potential, stack
 
 TERM_E0 = "E0_only"
 TERM_E2 = "through_E2"
@@ -147,24 +150,25 @@ def beta_shift(dim: int, n_radial, w):
 
 def _scan(potential: Potential, settings: SolverSettings):
     """The log-spaced scan grid over the bracket window, with sqrt(r^3 V'/2)
-    and w(r) on it from one jet, nan where undefined, without a warning. A
-    level's F(r) is the first term minus l plus beta(w). Raises
-    NoBoundStateError where V' is nowhere positive on the grid."""
+    and w(r) on it from one jet, nan where undefined, without a warning,
+    and whether V' is finite and positive anywhere on the grid. A level's
+    F(r) is the first term minus l plus beta(w). Parameters held as
+    columns give one row of each, and of the flag, per parameter row."""
     r = np.logspace(math.log10(settings.bracket_lo),
                     math.log10(settings.bracket_hi), settings.scan_points)
     with np.errstate(all="ignore"):
-        jet = potential.eval_jet(r)
-        vp = np.asarray(jet.coeffs[1], dtype=float)
-        vpp = 2.0 * np.asarray(jet.coeffs[2], dtype=float)
-        if not np.any(np.isfinite(vp) & (vp > 0)):
-            raise NoBoundStateError(
-                "V' is nowhere positive on the bracket window; "
-                "the potential admits no expansion point")
-        radicand = 3.0 + r * vpp / vp
-        w = 2.0 * np.sqrt(radicand)
-        w = np.where((vp > 0) & (radicand > 0), w, np.nan)
+        # with a row per parameter row, every array here is rows x grid:
+        # each is dropped once used, to keep the peak memory down
+        _, vp, c2, *_ = potential.eval_jet(r).coeffs
+        vp = np.asarray(vp, dtype=float)
+        radicand = 3.0 + (2.0 * r) * np.asarray(c2, dtype=float) / vp
+        del c2
+        w = np.where((vp > 0) & (radicand > 0), 2.0 * np.sqrt(radicand),
+                     np.nan)
+        del radicand
         lhs = np.sqrt(r**3 * vp / 2.0)
-    return r, lhs, w
+    rising = np.atleast_1d(np.isfinite(vp) & (vp > 0)).any(axis=-1)
+    return r, lhs, w, rising
 
 
 def _sign_changes(f, finite):
@@ -250,10 +254,14 @@ def _polish_root(problem: SletProblem, lo, hi, flo, fhi) -> float:
         x = x_new
 
 
-def _rootless(settings: SolverSettings, defined) -> SletError:
-    """The error of a level whose F has no bracket on the scan grid: F is
-    nowhere finite (not `defined`), or it never changes sign. Neither text
-    depends on the level."""
+def _rootless(settings: SolverSettings, rising, defined) -> SletError:
+    """The error of a level whose F has no bracket on the scan grid: V' is
+    nowhere positive (not `rising`), or F is nowhere finite (not
+    `defined`), or it never changes sign. No text depends on the level."""
+    if not rising:
+        return NoBoundStateError(
+            "V' is nowhere positive on the bracket window; "
+            "the potential admits no expansion point")
     if not defined:
         return InvalidExpansionPointError(
             "frequency undefined across the whole bracket window")
@@ -286,7 +294,7 @@ def solve_r0(problem: SletProblem):
     every admissible (r0, E0) pair in search order.
     """
     s = problem.solver
-    grid, lhs, w = _scan(problem.potential, s)
+    grid, lhs, w, rising = _scan(problem.potential, s)
     with np.errstate(all="ignore"):
         f = lhs - problem.l + beta_shift(problem.dim, problem.n_radial, w)
         finite = np.isfinite(f)
@@ -304,7 +312,7 @@ def solve_r0(problem: SletProblem):
         roots.append(float(grid[-1]))
 
     if not roots:
-        raise _rootless(s, finite.any())
+        raise _rootless(s, rising, finite.any())
 
     candidates, jets_there = [], []
     for r0 in roots:
@@ -463,7 +471,17 @@ def solve(problem: SletProblem) -> SletBreakdown:
     return SletBreakdown(**terms, candidates=tuple(candidates))
 
 
-# -- many levels of one potential at once ----------------------------------
+# -- many levels at once ---------------------------------------------------
+
+
+def _lanes(potential: Potential, index) -> Potential:
+    """`potential` with every array parameter indexed by `index`. A
+    parameter that all lanes share is a plain number and stays as it is."""
+    own = {k: v[index] for k, v in potential.params.items()
+           if isinstance(v, np.ndarray)}
+    if not own:
+        return potential
+    return replace(potential, params={**potential.params, **own})
 
 
 def _equation_with_slope_arrays(dim, potential, l, n, r):
@@ -486,10 +504,12 @@ def _equation_with_slope_arrays(dim, potential, l, n, r):
 def _polish_roots(dim, potential, l, n, lo, hi, flo, fhi, tol):
     """_polish_root on every lane at once, with one array jet per pass.
 
-    Each lane takes the steps of the scalar iteration and stops where it
-    stops. A lane whose F cannot be evaluated stops with a nan root. The
-    scalar search keeps its own loop: run through _brackets and this one,
-    it made `slet sweep` 1.20x and `slet solve` 1.17x slower.
+    `potential` holds one entry per lane in each array parameter, and the
+    lanes that go on keep theirs, beside their l and n. Each lane takes
+    the steps of the scalar iteration and stops where it stops. A lane
+    whose F cannot be evaluated stops with a nan root. The scalar search
+    keeps its own loop: run through _brackets and this one, it made
+    `slet solve` 1.17x slower.
     """
     root = np.full(lo.shape, np.nan)
     lane = np.arange(lo.size)
@@ -515,64 +535,78 @@ def _polish_roots(dim, potential, l, n, lo, hi, flo, fhi, tol):
         go = live & ~done
         lane, l, n, lo, hi, flo, x, last_step = (
             a[go] for a in (lane, l, n, lo, hi, flo, x_new, last_step))
+        potential = _lanes(potential, go)
     return root
 
 
 def _brackets(dim, grid, lhs, w, levels):
-    """Every bracket of every (index, l, n) level: the owning index, that
-    level's l and n, the left grid cell and F at both ends of the cell.
+    """Every bracket of every (index, row, l, n) level: the owning index,
+    that level's row, l and n, the left grid cell and F at both ends of
+    the cell. A level's F comes from its own row of the scan's lhs and w.
 
     F is built one radial number at a time, as a (levels of that n) x grid
     array; one array for all levels raised `spectrum` peak RSS from 30.8
-    to 31.6 MB. A level's brackets come in the scalar search's order: its
-    sign changes left to right, then a zero on the last grid point (a cell
-    of its own whose F is 0 at both ends). F = 0 at the left end marks a
-    root on the grid.
+    to 31.6 MB. Levels that share one row take it by broadcasting, and
+    levels on consecutive rows take them as a view. A level's brackets
+    come in the scalar search's order: its sign changes left to right,
+    then a zero on the last grid point (a cell of its own whose F is 0 at
+    both ends). F = 0 at the left end marks a root on the grid.
     """
     by_n = {}
-    for i, l, n in levels:
-        by_n.setdefault(n, []).append((i, l))
-    owner, ls, ns, cell, f_lo, f_hi = [], [], [], [], [], []
+    for level in levels:
+        by_n.setdefault(level[3], []).append(level)
+    picked, cell, f_lo, f_hi = [], [], [], []
     for n, members in by_n.items():
-        f = lhs - np.array([l for _, l in members], dtype=float)[:, None] \
-            + beta_shift(dim, n, w)
-        rows, cols = np.nonzero(_sign_changes(f, np.isfinite(f)))
+        at = [row for _, row, _, _ in members]
+        first = at[0]
+        if at == [first] * len(at):  # one row, broadcast over its levels
+            at = slice(first, first + 1)
+        elif at == list(range(first, first + len(at))):  # a view, no copy
+            at = slice(first, first + len(at))
+        l_col = np.array([l for _, _, l, _ in members], dtype=float)[:, None]
+        f = lhs[at] - l_col + beta_shift(dim, n, w[at])
+        hits, cols = np.nonzero(_sign_changes(f, np.isfinite(f)))
         ends = np.flatnonzero(f[:, -1] == 0.0)
-        for k in rows.tolist() + ends.tolist():
-            owner.append(members[k][0])
-            ls.append(members[k][1])
-            ns.append(n)
+        picked += [members[k] for k in hits.tolist() + ends.tolist()]
         none = np.zeros(ends.size)
         cell.append(np.concatenate([cols, np.full(ends.size, grid.size - 1)]))
-        f_lo.append(np.concatenate([f[rows, cols], none]))
-        f_hi.append(np.concatenate([f[rows, cols + 1], none]))
-    return (owner, np.array(ls, dtype=float), np.array(ns, dtype=float),
+        f_lo.append(np.concatenate([f[hits, cols], none]))
+        f_hi.append(np.concatenate([f[hits, cols + 1], none]))
+    owner, row, l, n = zip(*picked) if picked else [()] * 4
+    return (list(owner), np.array(row, dtype=int), np.array(l, dtype=float),
+            np.array(n, dtype=float),
             *(np.concatenate(a) for a in (cell, f_lo, f_hi)))
 
 
 def _solve_batch(dim, potential, settings, levels) -> dict:
-    """{index: SletBreakdown or SletError} of the (index, l, n) levels
-    that the batch search settles. A level without a bracket gets the
-    scalar search's error at once. A level is left out when a lane of it
+    """{index: SletBreakdown or SletError} of the (index, row, l, n) levels
+    that the batch search settles. `potential` holds one entry per row in
+    each array parameter; a level takes its row's. A level without a
+    bracket gets the scalar search's error at once, the scan's
+    NoBoundStateError among them. A level is left out when a lane of it
     hit a point where F cannot be evaluated, or it has no admissible
-    minimum, or one of its energy terms is not finite. Raises the scan's
-    NoBoundStateError, which the scalar search raises for every level too."""
-    grid, lhs, w_grid = _scan(potential, settings)
-    owner, l, n, cell, f_lo, f_hi = _brackets(dim, grid, lhs, w_grid, levels)
+    minimum, or one of its energy terms is not finite."""
+    grid, lhs, w_grid, rising = _scan(_lanes(potential, (slice(None), None)),
+                                      settings)
+    lhs, w_grid = np.atleast_2d(lhs, w_grid)
+    rising = np.atleast_1d(rising)
+    owner, row, l, n, cell, f_lo, f_hi = _brackets(dim, grid, lhs, w_grid,
+                                                   levels)
     bracketed, out = set(owner), {}
-    for i, li, ni in levels:
+    for i, ri, li, ni in levels:
         if i not in bracketed:
-            f = lhs - li + beta_shift(dim, ni, w_grid)
-            out[i] = _rootless(settings, np.isfinite(f).any())
+            f = lhs[ri] - li + beta_shift(dim, ni, w_grid[ri])
+            out[i] = _rootless(settings, rising[ri], np.isfinite(f).any())
     if not owner:
         return out
 
+    potential = _lanes(potential, row)
     roots = grid[cell]
     lanes = f_lo != 0.0
     if lanes.any():
         tol = max(settings.root_tol, 2.0 * sys.float_info.epsilon)
         roots[lanes] = _polish_roots(
-            dim, potential, l[lanes], n[lanes], roots[lanes],
+            dim, _lanes(potential, lanes), l[lanes], n[lanes], roots[lanes],
             grid[cell[lanes] + 1], f_lo[lanes], f_hi[lanes], tol)
 
     # one jet at every root: the frequency, the exact-curvature minimum
@@ -623,41 +657,56 @@ def _solve_batch(dim, potential, settings, levels) -> dict:
     return out
 
 
-def solve_levels(dim: int, potential: Potential, levels,
+def solve_levels(dim: int, potential, levels,
                  settings: SolverSettings) -> list:
-    """solve() for every (l, n_radial) pair of `levels`, one potential.
+    """solve() for every (l, n_radial) pair of `levels`.
 
-    The levels share one order-6 jet on the scan grid. A guarded Newton
-    steps every (level, bracket) pair at once, with one array jet per
-    pass; one more jet at all the roots serves the minimum test, and the
-    energies are assembled elementwise. The scan's error and that of a
-    level without a bracket are the scalar search's and need no second
-    scan. A level the batch does not settle otherwise (no admissible
-    minimum, a point where F cannot be evaluated, an energy term that is
-    not finite) is solved again by the scalar solve(), so that its outcome
-    and its error text are the scalar path's. The results agree with
-    solve() to within a few units in the last place, since numpy's and the
-    C library's pow may round apart.
+    `potential` is the one Potential of every level, or a sequence that
+    gives each level its own, such as a sweep's donors over gamma. The
+    batch search runs on lanes that carry their own parameters: a
+    builtin family's hand jet takes each parameter as an array, one entry
+    per level (potentials.stack). Levels of potentials that do not stack
+    so (an expression, mixed families) are solved one by one by solve().
+
+    The scan is one order-6 jet on its grid, with a row per parameter
+    row. A guarded Newton steps every (level, bracket) pair at once, with
+    one array jet per pass; one more jet at all the roots serves the
+    minimum test, and the energies are assembled elementwise. The scan's
+    error and that of a level without a bracket are the scalar search's
+    and need no second scan. A level the batch does not settle otherwise
+    (no admissible minimum, a point where F cannot be evaluated, an energy
+    term that is not finite) is solved again by the scalar solve(), so
+    that its outcome and its error text are the scalar path's. The results
+    agree with solve() to within a few units in the last place, since
+    numpy's and the C library's pow may round apart.
+
+    Memory grows as levels x scan_points: callers with many levels solve
+    them in blocks.
 
     Each entry is the level's SletBreakdown, or the SletError solve()
     raises for it, or the ValueError SletProblem raises for a level it
     rejects.
     """
+    shared = isinstance(potential, Potential)
+    pots = [potential] * len(levels) if shared else list(potential)
+    if len(pots) != len(levels):
+        raise ValueError(f"{len(pots)} potentials for {len(levels)} levels")
     results = [None] * len(levels)
     problems = {}
-    for i, (l, n) in enumerate(levels):
+    for i, ((l, n), pot) in enumerate(zip(levels, pots)):
         try:
-            problems[i] = SletProblem(dim, l, n, potential, settings)
+            problems[i] = SletProblem(dim, l, n, pot, settings)
         except ValueError as exc:
             results[i] = exc
+    lanes = potential if shared else stack(
+        [p.potential for p in problems.values()])
     batch = {}
-    if problems:
+    if problems and lanes is not None:
         try:
             with np.errstate(all="ignore"):
-                batch = _solve_batch(dim, potential, settings, [
-                    (i, p.l, p.n_radial) for i, p in problems.items()])
-        except NoBoundStateError as exc:  # the scan's, the same for every level
-            batch = dict.fromkeys(problems, exc)
+                batch = _solve_batch(dim, lanes, settings, [
+                    (i, 0 if shared else k, p.l, p.n_radial)
+                    for k, (i, p) in enumerate(problems.items())])
         except (SletError, ArithmeticError):
             batch = {}
     for i, problem in problems.items():

@@ -328,9 +328,16 @@ def evaluate(node, rval, params):
     """Evaluate the AST at `rval`: a float, an ndarray or a Jet.
 
     Numbers and parameters stay plain numbers, and each operator works on
-    whatever its operands are. Two plain numbers divide and power through
-    numpy, so a constant 1/0 is inf, as on an array, and never raises.
+    whatever its operands are. A scalar r is evaluated as a one-element
+    array, so a plain number is always free of r. Two plain numbers divide
+    and power through numpy, so a constant 1/0 is inf, as on an array, and
+    never raises. But ln or sqrt of a non-positive plain number, and a
+    negative plain number to a non-integer power, raise SingularityError,
+    as they do on a scalar Jet.
     """
+    if not isinstance(rval, jets.Jet) and np.ndim(rval) == 0:
+        v = evaluate(node, np.full(1, rval, dtype=float), params)
+        return v[0] if np.ndim(v) else v
 
     def ev(nd):
         if isinstance(nd, Num):
@@ -346,8 +353,11 @@ def evaluate(node, rval, params):
             return -ev(nd.arg)
         if isinstance(nd, Call):
             x = ev(nd.arg)
-            fns = _JET_FUNCS if isinstance(x, jets.Jet) else _NUM_FUNCS
-            return fns[nd.fn](x)
+            if isinstance(x, jets.Jet):
+                return _JET_FUNCS[nd.fn](x)
+            if nd.fn in ("ln", "sqrt"):
+                jets._check_positive(nd.fn, x)
+            return _NUM_FUNCS[nd.fn](x)
         if isinstance(nd, BinOp):
             a, b = ev(nd.lhs), ev(nd.rhs)
             if nd.op == "+":
@@ -357,7 +367,13 @@ def evaluate(node, rval, params):
             if nd.op == "*":
                 return a * b
             if not (isinstance(a, jets.Jet) or isinstance(b, jets.Jet)):
-                return np.divide(a, b) if nd.op == "/" else np.power(a, b)
+                if nd.op == "/":
+                    return np.divide(a, b)
+                # plain numbers are floats; r is an array or a Jet
+                if (isinstance(a, float) and isinstance(b, float) and a < 0
+                        and not b.is_integer()):
+                    jets._check_positive("pow", a)
+                return np.power(a, b)
             if nd.op == "/":
                 return a / b
             # a base free of r takes the exponent's exp(b ln a) path as a Jet

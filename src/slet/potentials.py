@@ -7,9 +7,11 @@ the Coulomb term is fixed at -2/r.
 A builtin is its expression: value() always evaluates the builtin's own
 source text, and as_expression() returns it. For jets, a builtin also has
 a hand-coded closed form, a fast path that the test suite checks pointwise
-against jet arithmetic on that expression. It stays only for speed: with
-expression jets, the `sweep` benchmark (seed 1, one CPU of a 2-vCPU Xeon)
-runs at about 1780 levels/s against 4300-5100 with the hand jets.
+against jet arithmetic on that expression. It stays only for speed. Only a
+hand jet takes array parameters (stack), which the batched `sweep` needs:
+with expression jets every sweep row takes the scalar path, and the `sweep`
+benchmark (seed 1, one CPU of a 2-vCPU Xeon) runs at 1680-1790 levels/s
+against 16160-16650 with the hand jets.
 """
 from __future__ import annotations
 
@@ -119,6 +121,22 @@ _HAND_JETS = {
     "log": _jet_log,
     "donor": _jet_donor,
 }
+
+
+def stack(pots) -> Potential | None:
+    """The potentials as one, for lanes that carry their own parameters:
+    each parameter becomes the array of every potential's value, in order.
+    Only eval_jet takes array parameters, and only through a hand jet,
+    which broadcasts over them, one row of each coefficient per potential.
+    So None unless every potential is of one builtin family that has
+    parameters; potentials without any are one potential, not lanes."""
+    family = pots[0].family if pots else None
+    if (family not in _HAND_JETS or not pots[0].params
+            or any(p.family != family for p in pots)):
+        return None
+    return Potential(family, {k: np.array([p.params[k] for p in pots])
+                              for k in pots[0].params},
+                     pots[0].ast, pots[0].source)
 
 
 # -- constructors --------------------------------------------------------

@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slet
-from slet import cli
+from slet import cli, engine, potentials
+from slet.errors import SletError
 
 
 def run_cli(capsys, *args):
@@ -226,6 +227,23 @@ def test_validate_constant_division_by_zero_is_a_failure(capsys):
                            "--oracle-N", "200")
     assert rc == 3 and err == ""
     assert "SLET failed" in out and "oracle failed" in out
+
+
+@pytest.mark.parametrize("src,message", [
+    ("ln(-1) + r", "ln of non-positive value -1.0"),
+    ("sqrt(-4) + r", "sqrt of non-positive value -4.0"),
+    ("r + (-8)^0.5", "pow of non-positive value -8.0"),
+])
+def test_constant_domain_error_names_its_cause(capsys, src, message):
+    rc, out, err = run_cli(capsys, "solve", "--dim", "3", f"--potential={src}",
+                           "--l", "0", "--nr", "0")
+    assert (rc, out, err) == (3, "", f"error: {message}\n")
+    rc, out, err = run_cli(capsys, "validate", "--dim", "3",
+                           f"--potential={src}", "--l", "0", "--nr", "0",
+                           "--oracle-N", "200", "--format", "csv")
+    assert rc == 3 and err == ""
+    _, columns, rows = read_csv(out)
+    assert rows[0][columns.index("error")] == f"{message}; {message}"
 
 
 @pytest.mark.parametrize("src", ["1e400 + r", "1e300*1e300 + r", "1/0 + r"])
@@ -555,6 +573,74 @@ def test_sweep_requires_2d_donor(capsys):
                          "--m", "0", "--nr", "0", "--gamma", "0:1:1")
     assert rc == 2
     assert err == "error: sweep requires --potential donor\n"
+
+
+def _sweep_argv(grid, *extra):
+    return ("sweep", "--dim", "2", "--potential", "donor", "--m", "-1",
+            "--nr", "0", "--gamma", grid, "--no-header", *extra)
+
+
+@pytest.mark.parametrize("grid,narrow", [
+    ("0:10:0.5", False), ("3:3:1", False), ("5:1:1", False),
+    ("0:20:2.5", True),
+], ids=["rows", "one-row", "empty", "narrow-window"])
+def test_sweep_rows_match_scalar_solve(capsys, tmp_path, grid, narrow):
+    # the batch's rows against engine.solve of each row's own donor: the
+    # energies within the batch tolerance, a failed row in the scalar text
+    extra, solver = (), engine.SolverSettings()
+    if narrow:  # bracket_hi = 1 holds the strong-field rows' roots only
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text("bracket_hi = 1.0\n")
+        extra, solver = ("--config", str(cfg)), engine.SolverSettings(
+            bracket_hi=1.0)
+    rc, out, err = run_cli(capsys,
+                           *_sweep_argv(grid, "--format", "csv", *extra))
+    assert rc == 0 and err == ""
+    _, _, rows = read_csv(out)
+    gammas = cli._parse_gamma_grid(grid)
+    assert [float(row[0]) for row in rows] == gammas
+    failed = 0
+    for row, g in zip(rows, gammas):
+        try:
+            want = engine.solve(engine.SletProblem(
+                2, 1, 0, potentials.donor(g, -1), solver))
+        except SletError as exc:
+            assert row[1:] == ["", "", "", "", str(exc)]
+            failed += 1
+            continue
+        assert float(row[2]) == pytest.approx(want.E0, rel=1e-14, abs=0.0)
+        scale = 1e-13 * max(abs(want.E_total), 1.0)
+        for k, value in ((1, want.E_total), (3, want.E2_over_lbar2),
+                         (4, want.E3_over_lbar3)):
+            assert abs(float(row[k]) - value) <= scale
+        assert row[5] == ""
+    assert 0 < failed < len(rows) if narrow else failed == 0
+
+
+def test_sweep_settles_its_rows_in_the_batch(capsys, monkeypatch):
+    monkeypatch.setattr(engine, "solve", lambda p: pytest.fail("scalar path"))
+    rc, out, err = run_cli(capsys, *_sweep_argv("0:200:2", "--format", "csv"))
+    assert rc == 0 and err == ""
+    _, _, rows = read_csv(out)
+    assert len(rows) == 101 and all(row[5] == "" for row in rows)
+
+
+def test_sweep_blocks_give_the_bytes_of_one_block(capsys, monkeypatch):
+    sizes = []
+    solve_levels = engine.solve_levels
+
+    def count(dim, pots, *args):
+        sizes.append(len(pots))
+        return solve_levels(dim, pots, *args)
+
+    monkeypatch.setattr(engine, "solve_levels", count)
+    for fmt in ("table", "csv", "json"):
+        argv = _sweep_argv("0:19:1", "--format", fmt)
+        whole = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", 7)
+        assert run_cli(capsys, *argv) == whole
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", 1000)
+    assert sizes == [20, 7, 7, 6] * 3
 
 
 # -- validate ---------------------------------------------------------------------

@@ -497,9 +497,11 @@ _LEVELS = [(l, n) for l in range(10) for n in range(10)]
 
 def _assert_matches_scalar(batch, dim, pot, levels, solver):
     """Each batch result against engine.solve of the same level: breakdowns
-    within the stated tolerances, failures with the same type and text."""
+    within the stated tolerances, failures with the same type and text.
+    `pot` is every level's potential, or a list of each level's own."""
     assert len(batch) == len(levels)
-    for got, (l, n) in zip(batch, levels):
+    pots = pot if isinstance(pot, list) else [pot] * len(levels)
+    for got, (l, n), pot in zip(batch, levels, pots):
         try:
             want = engine.solve(SletProblem(dim, l, n, pot, solver))
         except (SletError, ValueError) as exc:
@@ -642,3 +644,69 @@ def test_power_law_batch_matches_scalar_solve(A, nu, l, n):
     for dim in (3, 2):
         batch = engine.solve_levels(dim, pot, levels, SolverSettings())
         _assert_matches_scalar(batch, dim, pot, levels, SolverSettings())
+
+
+# -- lanes with their own parameters ------------------------------------------
+
+_GAMMAS = [0.0, 0.1, 0.7, 1.3] + [5.0 * k for k in range(1, 41)]
+
+
+def _sweep(m, nr, gammas=_GAMMAS):
+    """A sweep's levels: one donor per gamma, each with its own level."""
+    return ([potentials.donor(g, m) for g in gammas],
+            [(abs(m), nr)] * len(gammas))
+
+
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_sweep_rows_match_scalar_solve(m):
+    for nr in (0, 1, 2):
+        pots, levels = _sweep(m, nr)
+        for order in engine.TERM_ORDERS:
+            solver = SolverSettings(term_order=order)
+            batch = engine.solve_levels(2, pots, levels, solver)
+            _assert_matches_scalar(batch, 2, pots, levels, solver)
+
+
+def test_sweep_rows_are_settled_in_the_batch(monkeypatch):
+    def refuse(problem):
+        raise AssertionError(f"scalar solve of {problem.potential.params}")
+
+    monkeypatch.setattr(engine, "solve", refuse)
+    for m, nr in [(-3, 2), (0, 0), (2, 1)]:
+        batch = engine.solve_levels(2, *_sweep(m, nr), SolverSettings())
+        assert all(isinstance(b, engine.SletBreakdown) for b in batch)
+
+
+def test_sweep_rows_narrow_window_keep_the_scalar_errors():
+    # bracket_hi = 1 holds the root of the strong-field rows only
+    solver = SolverSettings(bracket_hi=1.0)
+    pots, levels = _sweep(-1, 0, [0.0, 0.5, 2.0, 8.0, 40.0])
+    batch = engine.solve_levels(2, pots, levels, solver)
+    assert [type(b) for b in batch] == [NoRootError] * 3 + [
+        engine.SletBreakdown] * 2
+    _assert_matches_scalar(batch, 2, pots, levels, solver)
+
+
+def test_lanes_of_unstackable_potentials_take_the_scalar_path():
+    # expressions take no array parameters, mixed families share no jet,
+    # and coulomb has no parameters to carry
+    power = potentials.expression("A*r^nu", {"A": 1.3, "nu": 1.7})
+    for pots in ([power, potentials.expression("A*r^2", {"A": 0.5})],
+                 [potentials.power(1.3, 1.7), potentials.coulomb()],
+                 [potentials.coulomb()] * 2):
+        assert potentials.stack(pots) is None
+        levels = [(1, 0), (0, 2)]
+        batch = engine.solve_levels(3, pots, levels, SolverSettings())
+        _assert_matches_scalar(batch, 3, pots, levels, SolverSettings())
+    with pytest.raises(ValueError, match="2 potentials for 1 levels"):
+        engine.solve_levels(3, [power, power], [(0, 0)], SolverSettings())
+
+
+def test_stacked_jet_rows_are_each_potentials_jet():
+    pots = [potentials.power(a, nu) for a, nu in [(1.0, 0.5), (2.0, 3.0)]]
+    lanes = potentials.stack(pots)
+    assert lanes.params["nu"].tolist() == [0.5, 3.0]
+    r = np.array([0.7, 2.5])
+    rows = [p.eval_jet(float(x)).coeffs for p, x in zip(pots, r)]
+    for c, *want in zip(lanes.eval_jet(r).coeffs, *rows):
+        assert c.tolist() == pytest.approx(want, rel=1e-15)

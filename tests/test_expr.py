@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from slet import expr, jets
-from slet.errors import ParseError
+from slet.errors import ParseError, SingularityError
 from slet.expr import BinOp, Call, Neg, Num, Param, Var
 
 
@@ -90,6 +92,27 @@ def test_array_evaluation_is_elementwise():
     r = np.array([0.5, 1.0, 2.0])
     got = expr.evaluate(ast, r, {})
     assert np.allclose(got, r**2 - 1 / r, rtol=1e-15)
+
+
+@pytest.mark.parametrize("src,message", [
+    ("ln(-1) + r", "ln of non-positive value -1.0"),
+    ("r*sqrt(0)", "sqrt of non-positive value 0.0"),
+    ("r + (-8)^0.5", "pow of non-positive value -8.0"),
+])
+def test_constant_domain_errors_raise_on_every_path(src, message):
+    ast = expr.parse(src)
+    for r in (1.5, np.array([0.5, 2.0]), jets.seed(1.5)):
+        with pytest.raises(SingularityError, match=f"^{re.escape(message)}$"):
+            expr.evaluate(ast, r, {})
+
+
+def test_domain_errors_of_r_stay_nan_and_constants_fold():
+    # a scalar r is an array of one: ln(r - 2) at r = 1 is nan, as at an
+    # array; integer powers of negative numbers and 1/0 are values
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert np.isnan(expr.evaluate(expr.parse("ln(r - 2)"), 1.0, {}))
+        assert expr.evaluate(expr.parse("(-8)^2 + 0^0.5 + r"), 1.0, {}) == 65.0
+        assert expr.evaluate(expr.parse("1/0 + r"), 1.0, {}) == np.inf
 
 
 def test_jet_evaluation_carries_derivatives():
