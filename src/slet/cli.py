@@ -5,16 +5,17 @@ quantum numbers), `sweep` (donor energy vs magnetic field), `validate`
 (expansion vs finite-difference oracle). Output formats: json (one top-level
 object), csv (RFC 4180, 17 significant digits), table (human-readable).
 
-Exit codes: 0 success, 2 bad flags or inputs (among them a non-finite
---gamma LO, HI or STEP, a --gamma grid of more than 10^6 rows, a spectrum
-of more than 10^4 levels, an expression nested more than 100 levels deep,
-an --oracle-tol outside (0, 1e-2] and an --out file that cannot be
-written), 3 computation failure.
+Exit codes: 0 success, 2 bad flags or inputs (among them a builtin
+parameter out of its range, such as a donor m that is not a finite integer,
+a non-finite --gamma LO, HI or STEP, a --gamma grid of more than 10^6 rows,
+a spectrum of more than 10^4 levels, an expression nested more than 100
+levels deep, an --oracle-tol outside (0, 1e-2] and an --out file that
+cannot be written), 3 computation failure.
 
-`spectrum` solves all its levels as one batch (engine.solve_levels).
-`sweep` solves its rows the same way, each row a donor of its own gamma, in
-blocks of at most 256 rows. `solve` and `validate` solve one level per
-engine.solve call.
+`spectrum` and `sweep` make one engine.solve_levels call, which solves the
+levels in blocks of at most 256: a spectrum's levels share one potential,
+and a sweep's rows are the lanes of one donor over its gamma grid. `solve`
+and `validate` solve one level per engine.solve call.
 
 Timestamps live only in a header line (or the "generated" JSON key) so that
 --no-header yields byte-identical payloads across identical invocations.
@@ -45,12 +46,8 @@ _VALIDATE_COLS = ("E_slet", "E_oracle", "E_oracle_refined",
 
 # the most rows one sweep may ask for; a larger grid is a usage error
 _MAX_GAMMA_ROWS = 10**6
-# sweep rows solved as one batch. An array of the batch search holds 256 x
-# 400 scan points x 8 bytes, 0.8 MB, and about five are alive at its peak.
-# 1000-row blocks were no faster on a 10^4-row sweep and took 10 MB more.
-_SWEEP_BLOCK_ROWS = 256
-# the most levels one spectrum may ask for: 10^4 levels x 400 scan points
-# x 8 bytes is 32 MB per array of the batch search
+# the most levels one spectrum may ask for. It bounds the run's work, not
+# its memory: engine.solve_levels solves the levels in blocks.
 _MAX_LEVELS = 10**4
 
 _CONFIG_KEYS = {"bracket_lo": float, "bracket_hi": float,
@@ -303,13 +300,13 @@ def _cmd_sweep(args, argv) -> int:
     _check_quantum("nr", args.nr)
     settings = _settings_from(args)
     grid = _parse_gamma_grid(args.gamma)
+    try:
+        pot = potentials.donor(grid, args.m)
+    except SletError as exc:  # an m beyond the float range
+        raise _UsageError(str(exc)) from None
     columns = _SWEEP_COLS + ("error",)
-    results = []
-    for start in range(0, len(grid), _SWEEP_BLOCK_ROWS):
-        block = grid[start:start + _SWEEP_BLOCK_ROWS]
-        results += engine.solve_levels(
-            2, [potentials.donor(g, args.m) for g in block],
-            [(abs(args.m), args.nr)] * len(block), settings)
+    results = engine.solve_levels(2, pot, [(abs(args.m), args.nr)] * len(grid),
+                                  settings)
     rows = _level_rows(columns, [{"gamma": g} for g in grid], results)
     _render(args, argv, columns, rows, None, None)
     return 0

@@ -16,16 +16,14 @@ assembled from the zeroth-order term plus second- and third-order corrections
 driven by the anharmonicity coefficients alpha1, alpha2.
 
 Two paths share that method. solve() and solve_r0() take one level with
-scalar jets. solve_levels() takes many levels at once, as lanes that carry
-their own l, n and potential parameters: F depends on (l, n) only through
-l and the linear beta(n, w), so one jet on the scan grid, with a row per
-parameter row, serves every level; one array jet per Newton pass steps
-every (level, bracket) pair, each with its own parameters; and the energy
-assembly (_energy_terms, shared with solve) runs elementwise. A `spectrum`
-is the one-row case, many levels of one potential; a `sweep` gives each
-level a donor of its own gamma. A level without a bracket takes the scalar
-search's error at once; any other level the batch cannot settle falls back
-to solve(), which keeps its outcome and error text.
+scalar jets. solve_levels() takes many levels at once, as lanes with their
+own l, n and parameters (an array parameter holds one entry per level): F
+depends on (l, n) only through l and the linear beta(n, w), so one scan
+jet, a row per parameter row, serves every level; one array jet per
+Newton pass steps every (level, bracket) pair; the energy assembly
+(_energy_terms, shared with solve) runs elementwise. A level the batch
+cannot settle falls back to solve(), which keeps its outcome and error
+text. A `spectrum` is the one-row case; a `sweep` a donor over gammas.
 
 All arithmetic is plain 64-bit floating point.
 """
@@ -45,12 +43,17 @@ from .errors import (
     SletError,
 )
 from .jets import Jet
-from .potentials import Potential, stack
+from .potentials import Potential
 
 TERM_E0 = "E0_only"
 TERM_E2 = "through_E2"
 TERM_E3 = "through_E3"
 TERM_ORDERS = (TERM_E0, TERM_E2, TERM_E3)
+
+# levels solved as one batch. An array of the batch search holds 256 x 400
+# scan points x 8 bytes, 0.8 MB, and about five are alive at its peak.
+# 1000-level blocks were no faster on a 10^4-row sweep and took 10 MB more.
+_BLOCK_LEVELS = 256
 
 
 @dataclass(frozen=True)
@@ -475,12 +478,14 @@ def solve(problem: SletProblem) -> SletBreakdown:
 
 
 def _lanes(potential: Potential, index) -> Potential:
-    """`potential` with every array parameter indexed by `index`. A
+    """`potential` with every array parameter indexed by `index`; an
+    integer index gives that lane's own numbers as plain floats. A
     parameter that all lanes share is a plain number and stays as it is."""
     own = {k: v[index] for k, v in potential.params.items()
            if isinstance(v, np.ndarray)}
     if not own:
         return potential
+    own = {k: v if np.ndim(v) else v.item() for k, v in own.items()}
     return replace(potential, params={**potential.params, **own})
 
 
@@ -657,16 +662,16 @@ def _solve_batch(dim, potential, settings, levels) -> dict:
     return out
 
 
-def solve_levels(dim: int, potential, levels,
+def solve_levels(dim: int, potential: Potential, levels,
                  settings: SolverSettings) -> list:
     """solve() for every (l, n_radial) pair of `levels`.
 
-    `potential` is the one Potential of every level, or a sequence that
-    gives each level its own, such as a sweep's donors over gamma. The
-    batch search runs on lanes that carry their own parameters: a
-    builtin family's hand jet takes each parameter as an array, one entry
-    per level (potentials.stack). Levels of potentials that do not stack
-    so (an expression, mixed families) are solved one by one by solve().
+    `potential` serves every level. A parameter it holds as a 1-D array
+    has one entry per level, as in a sweep's donor over an array of
+    gammas, and the batch search runs on these lanes; an array of any
+    other shape is a ValueError. The levels are solved in blocks of
+    _BLOCK_LEVELS, each with its slice of the array parameters, so memory
+    stays bounded however many levels there are.
 
     The scan is one order-6 jet on its grid, with a row per parameter
     row. A guarded Newton steps every (level, bracket) pair at once, with
@@ -675,43 +680,44 @@ def solve_levels(dim: int, potential, levels,
     error and that of a level without a bracket are the scalar search's
     and need no second scan. A level the batch does not settle otherwise
     (no admissible minimum, a point where F cannot be evaluated, an energy
-    term that is not finite) is solved again by the scalar solve(), so
-    that its outcome and its error text are the scalar path's. The results
-    agree with solve() to within a few units in the last place, since
-    numpy's and the C library's pow may round apart.
-
-    Memory grows as levels x scan_points: callers with many levels solve
-    them in blocks.
+    term that is not finite) is solved again by the scalar solve() with
+    its own parameters, so that its outcome and its error text are the
+    scalar path's. The results agree with solve() to within a few units in
+    the last place, since numpy's and the C library's pow may round apart.
 
     Each entry is the level's SletBreakdown, or the SletError solve()
     raises for it, or the ValueError SletProblem raises for a level it
     rejects.
     """
-    shared = isinstance(potential, Potential)
-    pots = [potential] * len(levels) if shared else list(potential)
-    if len(pots) != len(levels):
-        raise ValueError(f"{len(pots)} potentials for {len(levels)} levels")
-    results = [None] * len(levels)
-    problems = {}
-    for i, ((l, n), pot) in enumerate(zip(levels, pots)):
-        try:
-            problems[i] = SletProblem(dim, l, n, pot, settings)
-        except ValueError as exc:
-            results[i] = exc
-    lanes = potential if shared else stack(
-        [p.potential for p in problems.values()])
-    batch = {}
-    if problems and lanes is not None:
-        try:
-            with np.errstate(all="ignore"):
-                batch = _solve_batch(dim, lanes, settings, [
-                    (i, 0 if shared else k, p.l, p.n_radial)
-                    for k, (i, p) in enumerate(problems.items())])
-        except (SletError, ArithmeticError):
-            batch = {}
-    for i, problem in problems.items():
-        try:
-            results[i] = batch[i] if i in batch else solve(problem)
-        except SletError as exc:
-            results[i] = exc
+    lanes = {k: v.shape for k, v in potential.params.items()
+             if isinstance(v, np.ndarray)}
+    for k, shape in lanes.items():
+        if shape != (len(levels),):
+            raise ValueError(f"parameter {k} holds {shape} entries for "
+                             f"{len(levels)} levels")
+    results = []
+    for start in range(0, len(levels), _BLOCK_LEVELS):
+        chunk = levels[start:start + _BLOCK_LEVELS]
+        block = _lanes(potential, slice(start, start + len(chunk)))
+        out, problems, batch = [None] * len(chunk), {}, {}
+        for i, (l, n) in enumerate(chunk):
+            try:  # checks l and n; only solve() needs a lane of its own
+                problems[i] = SletProblem(dim, l, n, block, settings)
+            except ValueError as exc:
+                out[i] = exc
+        if problems:
+            try:
+                with np.errstate(all="ignore"):
+                    batch = _solve_batch(dim, block, settings, [
+                        (i, i if lanes else 0, p.l, p.n_radial)
+                        for i, p in problems.items()])
+            except (SletError, ArithmeticError):
+                batch = {}
+        for i, problem in problems.items():
+            try:
+                out[i] = batch[i] if i in batch else solve(
+                    replace(problem, potential=_lanes(block, i)))
+            except SletError as exc:
+                out[i] = exc
+        results += out
     return results

@@ -7,11 +7,10 @@ the Coulomb term is fixed at -2/r.
 A builtin is its expression: value() always evaluates the builtin's own
 source text, and as_expression() returns it. For jets, a builtin also has
 a hand-coded closed form, a fast path that the test suite checks pointwise
-against jet arithmetic on that expression. It stays only for speed. Only a
-hand jet takes array parameters (stack), which the batched `sweep` needs:
-with expression jets every sweep row takes the scalar path, and the `sweep`
-benchmark (seed 1, one CPU of a 2-vCPU Xeon) runs at 1680-1790 levels/s
-against 16160-16650 with the hand jets.
+against jet arithmetic on that expression. It stays only for speed, and
+because only a hand jet takes array parameters: a donor over an array of
+gammas (lanes, one level each, for engine.solve_levels) is how `sweep`
+solves all its rows as one batch.
 """
 from __future__ import annotations
 
@@ -79,7 +78,7 @@ def _jet_coulomb(r, params):
 
 
 def _jet_harmonic(r, params):
-    b2 = params["B"] ** 2
+    b2 = params["B"] * params["B"]  # overflows to inf, as B^2 does
     zero = np.zeros_like(r) if np.ndim(r) else 0.0
     c = [b2 * r * r / 4.0, b2 * r / 2.0, b2 / 4.0 + zero]
     return jets.Jet(c + [zero] * (jets.NCOEF - 3))
@@ -123,22 +122,6 @@ _HAND_JETS = {
 }
 
 
-def stack(pots) -> Potential | None:
-    """The potentials as one, for lanes that carry their own parameters:
-    each parameter becomes the array of every potential's value, in order.
-    Only eval_jet takes array parameters, and only through a hand jet,
-    which broadcasts over them, one row of each coefficient per potential.
-    So None unless every potential is of one builtin family that has
-    parameters; potentials without any are one potential, not lanes."""
-    family = pots[0].family if pots else None
-    if (family not in _HAND_JETS or not pots[0].params
-            or any(p.family != family for p in pots)):
-        return None
-    return Potential(family, {k: np.array([p.params[k] for p in pots])
-                              for k in pots[0].params},
-                     pots[0].ast, pots[0].source)
-
-
 # -- constructors --------------------------------------------------------
 
 
@@ -178,14 +161,24 @@ def log_potential(A, b) -> Potential:
 
 def donor(gamma, m) -> Potential:
     """Donor in a magnetic field, symmetric gauge: -2/rho + m*gamma
-    + gamma^2 rho^2 / 4. gamma >= 0, m integer."""
-    g = float(gamma)
-    if not np.isfinite(g) or g < 0:
-        raise DomainError(f"gamma must be non-negative, got {gamma}")
-    mi = float(m)
-    if mi != int(mi):
-        raise DomainError(f"m must be an integer, got {m}")
-    return _builtin("donor", {"gamma": g, "m": int(mi)})
+    + gamma^2 rho^2 / 4. gamma >= 0, m a finite integer.
+
+    gamma may be an array: one lane, a level of engine.solve_levels, per
+    gamma. Of the potential's methods only eval_jet takes such an array.
+    """
+    g = np.asarray(gamma, dtype=float)
+    bad = ~(np.isfinite(g) & (g >= 0))
+    if bad.any():
+        raise DomainError(f"gamma must be non-negative, "
+                          f"got {g[bad][0] if g.ndim else gamma}")
+    try:
+        mi = float(m)
+    except OverflowError:  # an integer beyond the float range
+        mi = math.inf
+    if not (math.isfinite(mi) and mi == int(mi)):
+        raise DomainError(f"m must be a finite integer, got {m}")
+    return _builtin("donor", {"gamma": g if g.ndim else float(gamma),
+                              "m": int(mi)})
 
 
 def expression(src: str, params: Mapping[str, float] | None = None) -> Potential:

@@ -625,22 +625,83 @@ def test_sweep_settles_its_rows_in_the_batch(capsys, monkeypatch):
     assert len(rows) == 101 and all(row[5] == "" for row in rows)
 
 
-def test_sweep_blocks_give_the_bytes_of_one_block(capsys, monkeypatch):
+def _assert_blocks_give_the_bytes_of_one_block(capsys, monkeypatch, argv):
+    # 20 levels: one batch of 20, then blocks of 7, 7 and 6 with the same
+    # bytes in every format
     sizes = []
-    solve_levels = engine.solve_levels
+    solve_batch = engine._solve_batch
 
-    def count(dim, pots, *args):
-        sizes.append(len(pots))
-        return solve_levels(dim, pots, *args)
+    def spy(dim, potential, settings, levels):
+        sizes.append(len(levels))
+        return solve_batch(dim, potential, settings, levels)
 
-    monkeypatch.setattr(engine, "solve_levels", count)
+    monkeypatch.setattr(engine, "_solve_batch", spy)
+    block = engine._BLOCK_LEVELS
     for fmt in ("table", "csv", "json"):
-        argv = _sweep_argv("0:19:1", "--format", fmt)
-        whole = run_cli(capsys, *argv)
-        monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", 7)
-        assert run_cli(capsys, *argv) == whole
-        monkeypatch.setattr(cli, "_SWEEP_BLOCK_ROWS", 1000)
+        whole = run_cli(capsys, *argv, "--format", fmt)
+        assert whole[0] == 0
+        monkeypatch.setattr(engine, "_BLOCK_LEVELS", 7)
+        assert run_cli(capsys, *argv, "--format", fmt) == whole
+        monkeypatch.setattr(engine, "_BLOCK_LEVELS", block)
     assert sizes == [20, 7, 7, 6] * 3
+
+
+def test_sweep_blocks_give_the_bytes_of_one_block(capsys, monkeypatch):
+    _assert_blocks_give_the_bytes_of_one_block(capsys, monkeypatch,
+                                               _sweep_argv("0:19:1"))
+
+
+def test_spectrum_blocks_give_the_bytes_of_one_block(capsys, monkeypatch):
+    _assert_blocks_give_the_bytes_of_one_block(
+        capsys, monkeypatch,
+        ("spectrum", "--dim", "3", "--potential", "power", "--param", "A=1.3",
+         "--param", "nu=1.7", "--l-range", "0..4", "--nr-range", "0..3",
+         "--no-header"))
+
+
+_NO_RISE = ("V' is nowhere positive on the bracket window; the potential "
+            "admits no expansion point")
+
+
+def test_builtin_parameter_that_overflows_fails_as_its_spelling(capsys):
+    # B^2 overflows to inf in the harmonic jet, as in the spelled expression
+    level = ("--dim", "3", "--l", "0", "--nr", "0", "--no-header")
+    rc, out, err = run_cli(capsys, "solve", "--potential", "harmonic",
+                           "--param", "B=1e200", *level)
+    assert (rc, out, err) == (3, "", f"error: {_NO_RISE}\n")
+    for potential in ("harmonic", "B^2*r^2/4"):
+        rc, out, err = run_cli(capsys, "validate", "--potential", potential,
+                               "--param", "B=1e200", *level)
+        assert rc == 3 and err == ""
+        assert out.splitlines() == [
+            f"SLET failed          {_NO_RISE}",
+            "oracle failed        effective potential not finite on the grid"]
+        rc, out, err = run_cli(capsys, "spectrum", "--dim", "3",
+                               "--potential", potential, "--param", "B=1e200",
+                               "--l-range", "0..1", "--nr-range", "0..1",
+                               "--format", "csv", "--no-header")
+        _, _, rows = read_csv(out)
+        assert rc == 0 and err == "" and len(rows) == 4
+        assert all(row[-1] == _NO_RISE for row in rows)
+
+
+@pytest.mark.parametrize("cmd", ["solve", "validate"])
+@pytest.mark.parametrize("m", ["inf", "-inf", "nan"])
+def test_donor_m_that_is_no_finite_integer_exits_2(capsys, cmd, m):
+    rc, out, err = run_cli(capsys, cmd, "--dim", "2", "--potential", "donor",
+                           "--param", "gamma=1", "--param", f"m={m}",
+                           "--l", "0", "--nr", "0")
+    assert (rc, out) == (2, "")
+    assert err == f"error: m must be a finite integer, got {float(m)}\n"
+
+
+def test_sweep_m_beyond_the_float_range_exits_2(capsys):
+    m = 10**400
+    rc, out, err = run_cli(capsys, "sweep", "--dim", "2", "--potential",
+                           "donor", "--m", str(m), "--nr", "0",
+                           "--gamma", "0:1:1")
+    assert (rc, out) == (2, "")
+    assert err == f"error: m must be a finite integer, got {m}\n"
 
 
 # -- validate ---------------------------------------------------------------------

@@ -652,18 +652,20 @@ _GAMMAS = [0.0, 0.1, 0.7, 1.3] + [5.0 * k for k in range(1, 41)]
 
 
 def _sweep(m, nr, gammas=_GAMMAS):
-    """A sweep's levels: one donor per gamma, each with its own level."""
-    return ([potentials.donor(g, m) for g in gammas],
-            [(abs(m), nr)] * len(gammas))
+    """A sweep's levels: one donor over the gammas, one lane per gamma, and
+    each gamma's own donor to check the lanes against."""
+    return (potentials.donor(np.array(gammas), m),
+            [(abs(m), nr)] * len(gammas),
+            [potentials.donor(g, m) for g in gammas])
 
 
 @pytest.mark.parametrize("m", range(-3, 4))
 def test_sweep_rows_match_scalar_solve(m):
     for nr in (0, 1, 2):
-        pots, levels = _sweep(m, nr)
+        lanes, levels, pots = _sweep(m, nr)
         for order in engine.TERM_ORDERS:
             solver = SolverSettings(term_order=order)
-            batch = engine.solve_levels(2, pots, levels, solver)
+            batch = engine.solve_levels(2, lanes, levels, solver)
             _assert_matches_scalar(batch, 2, pots, levels, solver)
 
 
@@ -673,40 +675,56 @@ def test_sweep_rows_are_settled_in_the_batch(monkeypatch):
 
     monkeypatch.setattr(engine, "solve", refuse)
     for m, nr in [(-3, 2), (0, 0), (2, 1)]:
-        batch = engine.solve_levels(2, *_sweep(m, nr), SolverSettings())
+        lanes, levels, _ = _sweep(m, nr)
+        batch = engine.solve_levels(2, lanes, levels, SolverSettings())
         assert all(isinstance(b, engine.SletBreakdown) for b in batch)
 
 
 def test_sweep_rows_narrow_window_keep_the_scalar_errors():
     # bracket_hi = 1 holds the root of the strong-field rows only
     solver = SolverSettings(bracket_hi=1.0)
-    pots, levels = _sweep(-1, 0, [0.0, 0.5, 2.0, 8.0, 40.0])
-    batch = engine.solve_levels(2, pots, levels, solver)
+    lanes, levels, pots = _sweep(-1, 0, [0.0, 0.5, 2.0, 8.0, 40.0])
+    batch = engine.solve_levels(2, lanes, levels, solver)
     assert [type(b) for b in batch] == [NoRootError] * 3 + [
         engine.SletBreakdown] * 2
     _assert_matches_scalar(batch, 2, pots, levels, solver)
 
 
-def test_lanes_of_unstackable_potentials_take_the_scalar_path():
-    # expressions take no array parameters, mixed families share no jet,
-    # and coulomb has no parameters to carry
-    power = potentials.expression("A*r^nu", {"A": 1.3, "nu": 1.7})
-    for pots in ([power, potentials.expression("A*r^2", {"A": 0.5})],
-                 [potentials.power(1.3, 1.7), potentials.coulomb()],
-                 [potentials.coulomb()] * 2):
-        assert potentials.stack(pots) is None
-        levels = [(1, 0), (0, 2)]
-        batch = engine.solve_levels(3, pots, levels, SolverSettings())
-        _assert_matches_scalar(batch, 3, pots, levels, SolverSettings())
-    with pytest.raises(ValueError, match="2 potentials for 1 levels"):
-        engine.solve_levels(3, [power, power], [(0, 0)], SolverSettings())
+def test_unsettled_lanes_are_solved_with_their_own_parameters(monkeypatch):
+    # a batch that settles nothing leaves every row to solve() of its own
+    # donor: the very same breakdown, or the very same error
+    monkeypatch.setattr(engine, "_solve_batch", lambda *args: {})
+    for solver in (SolverSettings(), SolverSettings(bracket_hi=1.0)):
+        lanes, levels, pots = _sweep(-1, 0, [0.0, 0.5, 2.0, 8.0, 40.0])
+        batch = engine.solve_levels(2, lanes, levels, solver)
+        for got, pot in zip(batch, pots):
+            try:
+                want = engine.solve(SletProblem(2, 1, 0, pot, solver))
+            except SletError as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            assert got == want
+        assert any(isinstance(b, SletError) for b in batch) == (
+            solver.bracket_hi == 1.0)
 
 
-def test_stacked_jet_rows_are_each_potentials_jet():
-    pots = [potentials.power(a, nu) for a, nu in [(1.0, 0.5), (2.0, 3.0)]]
-    lanes = potentials.stack(pots)
-    assert lanes.params["nu"].tolist() == [0.5, 3.0]
-    r = np.array([0.7, 2.5])
-    rows = [p.eval_jet(float(x)).coeffs for p, x in zip(pots, r)]
+def test_lane_jet_rows_are_each_gammas_jet():
+    gammas = np.array([0.0, 0.7, 40.0])
+    lanes = potentials.donor(gammas, -2)
+    assert lanes.params["gamma"].tolist() == gammas.tolist()
+    r = np.array([0.3, 2.5, 7.0])
+    rows = [potentials.donor(float(g), -2).eval_jet(float(x)).coeffs
+            for g, x in zip(gammas, r)]
+    # numpy's pow and the C library's may round apart in the last place
     for c, *want in zip(lanes.eval_jet(r).coeffs, *rows):
         assert c.tolist() == pytest.approx(want, rel=1e-15)
+
+
+def test_lane_parameters_need_one_entry_per_level():
+    lanes = potentials.donor(np.array([1.0, 2.0]), 0)
+    for levels in ([(0, 0)], [(0, 0)] * 3):
+        with pytest.raises(ValueError, match="parameter gamma holds"):
+            engine.solve_levels(2, lanes, levels, SolverSettings())
+    with pytest.raises(ValueError, match="parameter gamma holds"):
+        engine.solve_levels(2, potentials.donor(np.ones((2, 1)), 0),
+                            [(0, 0)] * 2, SolverSettings())

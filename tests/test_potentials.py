@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,29 @@ def test_value_matches_jet_leading_coefficient():
 def test_factory_rejects_out_of_range_parameters(make):
     with pytest.raises(DomainError):
         make()
+
+
+@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan, 10**400, 0.5])
+def test_donor_m_must_be_a_finite_integer(m):
+    with pytest.raises(DomainError, match="m must be a finite integer"):
+        potentials.donor(1.0, m)
+
+
+def test_donor_over_an_array_of_gammas():
+    lanes = potentials.donor(np.array([0.0, 0.5, 2.0]), -1)
+    assert lanes.params["gamma"].tolist() == [0.0, 0.5, 2.0]
+    assert lanes.params["m"] == -1
+    assert type(potentials.donor(0.5, -1).params["gamma"]) is float
+    for bad, shown in [(-0.5, "-0.5"), (math.nan, "nan"), (math.inf, "inf")]:
+        with pytest.raises(DomainError,
+                           match=f"gamma must be non-negative, got {shown}$"):
+            potentials.donor(np.array([0.5, bad, 2.0, -7.0]), 0)
+
+
+def test_harmonic_jet_overflows_to_inf():
+    # B^2 overflows as the spelled B^2*r^2/4 does, without an exception
+    jet = potentials.harmonic(1e200).eval_jet(1.0)
+    assert jet.coeffs[:3] == (math.inf,) * 3
 
 
 def test_expression_requires_bound_parameters():
