@@ -184,8 +184,8 @@ def _sign_changes(f, finite):
 
 def _jet_at(problem: SletProblem, r: float):
     """Scalar jet of the potential at r; a failure there (a singular
-    expression, float overflow in a hand jet) becomes
-    InvalidExpansionPointError."""
+    expression, or a float error such as Python's ZeroDivisionError)
+    becomes InvalidExpansionPointError."""
     try:
         return problem.potential.eval_jet(r)
     except (SletError, ArithmeticError) as err:

@@ -327,37 +327,19 @@ _NUM_FUNCS = {"ln": np.log, "exp": np.exp, "sqrt": np.sqrt,
 def evaluate(node, rval, params):
     """Evaluate the AST at `rval`: a float, an ndarray or a Jet.
 
-    Numbers and parameters stay plain numbers, and each operator works on
-    whatever its operands are. A scalar r is evaluated as a one-element
-    array, so a plain number is always free of r. Two plain numbers divide
-    and power through numpy, so a constant 1/0 is inf, as on an array, and
-    never raises. But ln or sqrt of a non-positive plain number, and a
-    negative plain number to a non-integer power, raise SingularityError,
-    as they do on a scalar Jet.
+    Numbers and parameters stay plain numbers (an ndarray parameter, one
+    entry per lane, as it is), and each operator works on whatever its
+    operands are. A scalar r is evaluated as a one-element array, so a plain
+    number is always free of r. Two plain numbers divide and power through
+    numpy, so a constant 1/0 is inf, as on an array, and never raises. But
+    ln or sqrt of a non-positive plain number, and a negative plain number
+    to a non-integer power, raise SingularityError, as on a scalar Jet.
     """
     if not isinstance(rval, jets.Jet) and np.ndim(rval) == 0:
         v = evaluate(node, np.full(1, rval, dtype=float), params)
         return v[0] if np.ndim(v) else v
 
-    def ev(nd):
-        if isinstance(nd, Num):
-            return nd.value
-        if isinstance(nd, Var):
-            return rval
-        if isinstance(nd, Param):
-            try:
-                return float(params[nd.name])
-            except KeyError:
-                raise ParseError(f"unbound parameter {nd.name!r}", nd.offset) from None
-        if isinstance(nd, Neg):
-            return -ev(nd.arg)
-        if isinstance(nd, Call):
-            x = ev(nd.arg)
-            if isinstance(x, jets.Jet):
-                return _JET_FUNCS[nd.fn](x)
-            if nd.fn in ("ln", "sqrt"):
-                jets._check_positive(nd.fn, x)
-            return _NUM_FUNCS[nd.fn](x)
+    def ev(nd):  # BinOp first: most nodes are operators
         if isinstance(nd, BinOp):
             a, b = ev(nd.lhs), ev(nd.rhs)
             if nd.op == "+":
@@ -378,6 +360,24 @@ def evaluate(node, rval, params):
                 return a / b
             # a base free of r takes the exponent's exp(b ln a) path as a Jet
             return jets.powr(a if isinstance(a, jets.Jet) else jets.const(a), b)
+        if isinstance(nd, Num):
+            return nd.value
+        if isinstance(nd, Var):
+            return rval
+        if isinstance(nd, Param):
+            if nd.name not in params:
+                raise ParseError(f"unbound parameter {nd.name!r}", nd.offset)
+            v = params[nd.name]
+            return v if isinstance(v, np.ndarray) else float(v)
+        if isinstance(nd, Neg):
+            return -ev(nd.arg)
+        if isinstance(nd, Call):
+            x = ev(nd.arg)
+            if isinstance(x, jets.Jet):
+                return _JET_FUNCS[nd.fn](x)
+            if nd.fn in ("ln", "sqrt"):
+                jets._check_positive(nd.fn, x)
+            return _NUM_FUNCS[nd.fn](x)
         raise TypeError(f"not an AST node: {nd!r}")
 
     return ev(node)

@@ -5,15 +5,17 @@ k-th derivative at the expansion point is k! * a_k. Order 6 is fixed: the
 energy series needs the potential's derivatives through V'''''' and nothing
 higher, so the truncation order is a module constant rather than a knob.
 
-Coefficients are either Python/numpy scalars or ndarrays. With scalars,
-domain violations raise (SingularityError with the function name and the
-offending value). With arrays the same operations run element-wise and
-invalid lanes silently become nan/inf for the caller to mask; that is what
-the expansion-point scan relies on.
+Coefficients are scalars or ndarrays. With scalars, domain violations
+raise (SingularityError with the function name and the offending value).
+With arrays, invalid lanes silently become nan/inf for the caller to mask,
+as the expansion-point scan needs.
 
 A plain number operand is a constant: + and - touch a0 alone, * and /
-scale the seven coefficients (Griewank & Walther, Evaluating Derivatives,
-ch. 13).
+scale the coefficients. Seeds and constants hold the structural zero ZERO
+in their higher coefficients, and + - * / skip it; a zero computed or
+written in a source is an ordinary number (0 * inf is nan). An affine
+Jet, u0 + u1 h, takes its powers, its ln and a constant over it in closed
+form (Griewank & Walther, Evaluating Derivatives, ch. 13).
 """
 from __future__ import annotations
 
@@ -28,9 +30,42 @@ NCOEF = ORDER + 1
 
 _FACT = tuple(math.factorial(k) for k in range(NCOEF))
 
+ZERO = np.float64(0.0)  # known by identity: no computed number is this object
+
 
 def _is_scalar(x) -> bool:
-    return np.ndim(x) == 0
+    return not isinstance(x, np.ndarray) or x.ndim == 0
+
+
+def _is_one(x) -> bool:  # a plain 1.0, a factor left out exactly
+    return isinstance(x, float) and x == 1.0
+
+
+def _affine(a):
+    """(u0, u1) if a is u0 + u1 h, with ZERO in a2..a6, else None. A scalar
+    comes as np.float64, which overflows to inf as arrays do, not raising."""
+    if all(c is ZERO for c in a.coeffs[2:]):
+        return tuple(c if isinstance(c, np.ndarray) else np.float64(c)
+                     for c in a.coeffs[:2])
+
+
+def _affine_power(u0, u1, p, poly: bool) -> Jet:
+    """(u0 + u1 h)^p: a_k = binom(p, k) u0^(p-k) u1^k; ZERO above a_p for a
+    polynomial, an integer p >= 0. A slope of 1.0 gives the derivatives of
+    r^p, each power of u0 taken whole, as for c/r and ln r; other slopes go
+    through u1/u0, finite where u1^k or u0^k overflows, except in a
+    polynomial, whose u0 may be 0."""
+    ratio = not (poly or _is_one(u1))
+    out, falling = [], 1.0
+    for k in range(min(int(p), ORDER) + 1 if poly else NCOEF):
+        if ratio:
+            ck = u0**p * (u1 / u0) ** k
+        else:  # leaving out the factors u0^0 and a slope of 1.0
+            ck = u0 ** (p - k) if p != k else 1.0
+            ck = ck if _is_one(u1) else ck * u1**k
+        out.append(ck if k == 0 else falling / _FACT[k] * ck)
+        falling *= p - k
+    return Jet(out + [ZERO] * (NCOEF - len(out)))
 
 
 class Jet:
@@ -64,7 +99,8 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(a + b for a, b in zip(self.coeffs, other.coeffs))
+            return Jet(b if a is ZERO else a if b is ZERO else a + b
+                       for a, b in zip(self.coeffs, other.coeffs))
         return Jet((self.coeffs[0] + other,) + self.coeffs[1:])
 
     __radd__ = __add__
@@ -76,15 +112,18 @@ class Jet:
         return -self + other
 
     def __neg__(self):
-        return Jet(-a for a in self.coeffs)
+        return Jet(a if a is ZERO else -a for a in self.coeffs)
 
     def __mul__(self, other):
+        a = self.coeffs
         if not isinstance(other, Jet):
-            return Jet(a * other for a in self.coeffs)
-        a, b = self.coeffs, other.coeffs
-        return Jet(
-            sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(NCOEF)
-        )
+            return Jet(c if c is ZERO else c * other for c in a)
+        b, out = other.coeffs, []
+        for k in range(NCOEF):
+            terms = [a[j] * b[k - j] for j in range(k + 1)
+                     if a[j] is not ZERO and b[k - j] is not ZERO]
+            out.append(sum(terms) if terms else ZERO)
+        return Jet(out)
 
     __rmul__ = __mul__
 
@@ -92,15 +131,24 @@ class Jet:
         b0 = other.coeffs[0] if isinstance(other, Jet) else other
         if _is_scalar(b0) and b0 == 0:
             raise SingularityError("jet division by zero leading coefficient")
+        a = self.coeffs
         with np.errstate(all="ignore"):
             if not isinstance(other, Jet):
-                return Jet(a / other for a in self.coeffs)
-            a, b, w = self.coeffs, other.coeffs, []
+                return Jet(c if c is ZERO else c / other for c in a)
+            b = other.coeffs
+            if all(c is ZERO for c in a[1:]) and (u := _affine(other)):
+                c, (u0, u1) = a[0], u  # c / (u0 + u1 h): c (-u1)^k / u0^(k+1)
+                if _is_one(u1):
+                    return Jet((-c if k % 2 else c) / u0 ** (k + 1)
+                               for k in range(NCOEF))
+                return Jet(c / u0 * (-u1 / u0) ** k for k in range(NCOEF))
+            w = []
             for k in range(NCOEF):
                 acc = a[k]
                 for j in range(k):
-                    acc = acc - w[j] * b[k - j]
-                w.append(acc / b0)
+                    if w[j] is not ZERO and b[k - j] is not ZERO:
+                        acc = acc - w[j] * b[k - j]
+                w.append(acc if acc is ZERO else acc / b0)
         return Jet(w)
 
     def __rtruediv__(self, other):
@@ -111,26 +159,22 @@ class Jet:
 
 
 def const(c) -> Jet:
-    zero = np.zeros_like(c) if not _is_scalar(c) else 0.0
-    return Jet((c,) + (zero,) * ORDER)
+    return Jet((c,) + (ZERO,) * ORDER)
 
 
 def seed(r0) -> Jet:
-    """Jet of the radial variable itself at r0: (r0, 1, 0, ..., 0)."""
+    """Jet of the radial variable itself at r0: (r0, 1.0, ZERO, ...)."""
     if _is_scalar(r0):
         if not np.isfinite(r0) or r0 <= 0:
             raise DomainError(f"expansion point must be positive and finite, got {r0}")
-        one, zero = 1.0, 0.0
     else:
         r0 = np.asarray(r0, dtype=float)
         if r0.size and (not np.all(np.isfinite(r0)) or np.any(r0 <= 0)):
             raise DomainError("expansion points must all be positive and finite")
-        one, zero = np.ones_like(r0), np.zeros_like(r0)
-    return Jet((r0, one) + (zero,) * (ORDER - 1))
+    return Jet((r0, 1.0) + (ZERO,) * (ORDER - 1))
 
 
 # -- elementary functions ---------------------------------------------
-#
 # Standard composition recurrences. u = input coefficients, v = output.
 # Each is the power-series solution of the defining ODE (v' = u' v for exp,
 # u v' = u' for ln, ...), truncated at ORDER.
@@ -157,6 +201,10 @@ def ln(a: Jet) -> Jet:
     u = a.coeffs
     _check_positive("ln", u[0])
     with np.errstate(all="ignore"):
+        if aff := _affine(a):  # ln(u0 + u1 h): (-1)^(k+1) / (k (u0/u1)^k)
+            q = aff[0] if _is_one(aff[1]) else aff[0] / aff[1]
+            return Jet([np.log(aff[0])] + [(1.0 if k % 2 else -1.0) / (k * q**k)
+                                           for k in range(1, NCOEF)])
         v = [np.log(u[0])]
         for k in range(1, NCOEF):
             acc = u[k]
@@ -205,24 +253,32 @@ def _sincos(a: Jet):
 
 
 def powr(a: Jet, p) -> Jet:
-    """a**p. A finite integer p by square-and-multiply (exact for
-    polynomials, about 2 log2|p| products); any other number, infinities
-    included, and a Jet p (an exponent that depends on r) as exp(p*ln a),
-    which needs a positive leading value."""
+    """a**p: an affine a to a finite number p in closed form; otherwise a
+    finite integer p by square-and-multiply (exact for polynomials, about
+    2 log2|p| products), and any other p, a Jet one (an exponent that
+    depends on r) included, as exp(p*ln a), which needs a0 > 0."""
     if isinstance(p, Jet):
         return exp(p * ln(a))
-    if _is_scalar(p) and math.isfinite(p) and float(p).is_integer():
-        n = int(p)
-        if n == 0:
-            one = np.ones_like(a.coeffs[0]) if not _is_scalar(a.coeffs[0]) else 1.0
-            return const(one)
-        base = a if n > 0 else 1.0 / a
-        out = base
-        with np.errstate(all="ignore"):  # huge |n| overflows lanes to inf
-            for bit in bin(abs(n))[3:]:  # the bits below the leading one
-                out = out * out
-                if bit == "1":
-                    out = out * base
-        return out
-    _check_positive("pow", a.coeffs[0])
-    return exp(p * ln(a))
+    u0 = a.coeffs[0]
+    finite = _is_scalar(p) and math.isfinite(p)
+    integer = finite and float(p).is_integer()
+    if not integer:
+        _check_positive("pow", u0)
+    elif p < 0 and _is_scalar(u0) and u0 == 0:
+        raise SingularityError("jet division by zero leading coefficient")
+    if finite and (aff := _affine(a)):
+        with np.errstate(all="ignore"):
+            return _affine_power(*aff, p, integer and p >= 0)
+    if not integer:
+        return exp(p * ln(a))
+    n = int(p)
+    if n == 0:
+        return const(np.ones_like(u0) if not _is_scalar(u0) else 1.0)
+    base = a if n > 0 else 1.0 / a
+    out = base
+    with np.errstate(all="ignore"):  # huge |n| overflows lanes to inf
+        for bit in bin(abs(n))[3:]:  # the bits below the leading one
+            out = out * out
+            if bit == "1":
+                out = out * base
+    return out

@@ -4,13 +4,11 @@ Five builtin families plus arbitrary parsed expressions in the variable r.
 Energies are in effective Rydbergs and lengths in effective Bohr radii, so
 the Coulomb term is fixed at -2/r.
 
-A builtin is its expression: value() always evaluates the builtin's own
-source text, and as_expression() returns it. For jets, a builtin also has
-a hand-coded closed form, a fast path that the test suite checks pointwise
-against jet arithmetic on that expression. It stays only for speed, and
-because only a hand jet takes array parameters: a donor over an array of
-gammas (lanes, one level each, for engine.solve_levels) is how `sweep`
-solves all its rows as one batch.
+A builtin is its expression: value() and eval_jet() evaluate the
+builtin's own source text, and as_expression() returns it. An ndarray
+parameter passes through as it is: a donor over an array of gammas (lanes,
+one level each, for engine.solve_levels) is how `sweep` solves its rows
+as one batch.
 """
 from __future__ import annotations
 
@@ -46,12 +44,8 @@ class Potential:
 
     def eval_jet(self, r0) -> jets.Jet:
         """Jet of V about r0 (r0 > 0, scalar or array)."""
-        r = jets.seed(r0)
-        fn = _HAND_JETS.get(self.family)
-        if fn is not None:
-            return fn(r.coeffs[0], self.params)
         with np.errstate(all="ignore"):
-            v = expr.evaluate(self.ast, r, self.params)
+            v = expr.evaluate(self.ast, jets.seed(r0), self.params)
         # a source free of r, such as "0", evaluates to a plain number
         return v if isinstance(v, jets.Jet) else jets.const(v)
 
@@ -64,69 +58,19 @@ class Potential:
         return self.source
 
 
-# -- hand-coded jets ----------------------------------------------------
-# Taylor coefficients c_k = V^(k)(r)/k!, vectorized over r.
-
-
-def _coulomb_coeffs(r):
-    # d^k/dr^k (-2/r) = -2 (-1)^k k! r^-(k-1), so c_k = 2(-1)^(k+1) r^-(k+1)
-    return [2.0 * (-1.0) ** (k + 1) / r ** (k + 1) for k in range(jets.NCOEF)]
-
-
-def _jet_coulomb(r, params):
-    return jets.Jet(_coulomb_coeffs(r))
-
-
-def _jet_harmonic(r, params):
-    b2 = params["B"] * params["B"]  # overflows to inf, as B^2 does
-    zero = np.zeros_like(r) if np.ndim(r) else 0.0
-    c = [b2 * r * r / 4.0, b2 * r / 2.0, b2 / 4.0 + zero]
-    return jets.Jet(c + [zero] * (jets.NCOEF - 3))
-
-
-def _jet_power(r, params):
-    a, nu = params["A"], params["nu"]
-    c = []
-    falling = 1.0
-    with np.errstate(all="ignore"):
-        for k in range(jets.NCOEF):
-            c.append(a * falling / math.factorial(k) * r ** (nu - k))
-            falling *= nu - k
-    return jets.Jet(c)
-
-
-def _jet_log(r, params):
-    a, b = params["A"], params["b"]
-    c = [a * np.log(r / b)]
-    for k in range(1, jets.NCOEF):
-        c.append(a * (-1.0) ** (k + 1) / (k * r**k))
-    return jets.Jet(c)
-
-
-def _jet_donor(r, params):
-    g, m = params["gamma"], params["m"]
-    c = _coulomb_coeffs(r)
-    c[0] = c[0] + m * g + g * g * r * r / 4.0
-    c[1] = c[1] + g * g * r / 2.0
-    c[2] = c[2] + g * g / 4.0
-    return jets.Jet(c)
-
-
-# kept beside the expressions for speed alone (see the module docstring)
-_HAND_JETS = {
-    "coulomb": _jet_coulomb,
-    "harmonic": _jet_harmonic,
-    "power": _jet_power,
-    "log": _jet_log,
-    "donor": _jet_donor,
-}
-
-
 # -- constructors --------------------------------------------------------
 
 
+def _float(name, value):
+    """value as a float array; an int beyond the float range: DomainError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError as err:
+        raise DomainError(f"{name}: {err}") from None
+
+
 def _require_positive(name, value):
-    v = float(value)
+    v = float(_float(name, value))
     if not np.isfinite(v) or v <= 0:
         raise DomainError(f"{name} must be positive, got {value}")
     return v
@@ -166,7 +110,7 @@ def donor(gamma, m) -> Potential:
     gamma may be an array: one lane, a level of engine.solve_levels, per
     gamma. Of the potential's methods only eval_jet takes such an array.
     """
-    g = np.asarray(gamma, dtype=float)
+    g = _float("gamma", gamma)
     bad = ~(np.isfinite(g) & (g >= 0))
     if bad.any():
         raise DomainError(f"gamma must be non-negative, "
@@ -185,7 +129,7 @@ def expression(src: str, params: Mapping[str, float] | None = None) -> Potential
     """Potential from expression source text. Every parameter referenced in
     the source must appear in `params`; the first unbound reference is
     reported with its byte offset."""
-    params = {k: float(v) for k, v in (params or {}).items()}
+    params = {k: float(_float(k, v)) for k, v in (params or {}).items()}
     ast = expr.parse(src)
     for ref in expr.param_refs(ast):
         if ref.name not in params:

@@ -375,6 +375,12 @@ def test_equation_slope_matches_central_difference(dim, pot, l, n):
         assert fp == pytest.approx((f_hi - f_lo) / (2.0 * h), rel=1e-7)
 
 
+def _oscillator(cls):
+    """potentials.harmonic(2.0) as an instance of the subclass cls."""
+    pot = potentials.harmonic(2.0)
+    return cls(pot.family, pot.params, pot.ast, pot.source)
+
+
 class _NanThirdDerivative(potentials.Potential):
     """Oscillator whose scalar jets carry V''' = nan, so F' is nan at every
     polish iterate; the scan's array jets stay intact."""
@@ -388,7 +394,7 @@ class _NanThirdDerivative(potentials.Potential):
 
 class _FloatErrorJet(potentials.Potential):
     """Oscillator whose scalar jets raise a float error, as Python-float
-    arithmetic in a hand jet can."""
+    arithmetic in a potential's jet can."""
 
     def eval_jet(self, r0):
         if np.ndim(r0):
@@ -397,7 +403,7 @@ class _FloatErrorJet(potentials.Potential):
 
 
 def test_polish_bisects_where_the_slope_is_nan():
-    pot = _NanThirdDerivative("harmonic", {"B": 2.0}, None)
+    pot = _oscillator(_NanThirdDerivative)
     r0, _ = engine.solve_r0(_problem(pot))
     assert r0 == pytest.approx(math.sqrt(1.5), rel=1e-12)
 
@@ -423,7 +429,7 @@ def test_scalar_jet_failure_inside_bracket_is_a_slet_error():
 
 def test_float_error_in_scalar_jet_is_a_slet_error():
     with pytest.raises(InvalidExpansionPointError):
-        engine.solve_r0(_problem(_FloatErrorJet("harmonic", {"B": 2.0}, None)))
+        engine.solve_r0(_problem(_oscillator(_FloatErrorJet)))
 
 
 @pytest.mark.parametrize("dim,make", [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slet import expr, jets, potentials
+from slet import cli, expr, jets, potentials
 from slet.errors import DomainError, SingularityError
 
 
@@ -136,9 +136,58 @@ def test_real_power_matches_exp_ln():
     jets_close(jets.powr(a, p), jets.exp(jets.const(p) * jets.ln(a)))
 
 
-# builtin hand-coded jets vs the same potential parsed and evaluated
-# through jet arithmetic, in several spellings, all orders, random points;
-# {name} in a spelling is that parameter's value as a literal
+# affine arguments a*r + b, positive at every point below
+AFFINE = [(1.0, 0.0), (2.5, 0.3), (0.7, -0.2), (-1.5, 9.0)]
+POINTS = [0.5, 1.7, 4.0, np.array([0.5, 1.3, 2.2, 5.0])]
+
+
+def _affine_and_generic(a, b, r0):
+    """a*r + b at r0 as the arithmetic builds it, with structural zeros,
+    and the same jet with ordinary zeros, which takes the generic path."""
+    u = a * jets.seed(r0) + b
+    assert all(c is jets.ZERO for c in u.coeffs[2:])
+    return u, jets.Jet(u.coeffs[:2] + (np.float64(0.0),) * (jets.NCOEF - 2))
+
+
+def _same(closed, generic, tol=1e-13):
+    for k, (x, y) in enumerate(zip(closed.coeffs, generic.coeffs)):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float))
+        assert np.all(np.abs(x - y) <= tol * np.maximum(np.abs(x), np.abs(y))), k
+
+
+@pytest.mark.parametrize("a,b", AFFINE)
+@pytest.mark.parametrize("r0", POINTS, ids=["0.5", "1.7", "4.0", "array"])
+def test_closed_forms_match_the_recurrences(a, b, r0):
+    u, generic = _affine_and_generic(a, b, r0)
+    _same(-2.0 / u, -2.0 / generic)
+    _same(jets.const(3.5) / u, jets.const(3.5) / generic)
+    _same(jets.ln(u), jets.ln(generic))
+    for p in (2, 3, -1, -2, 0.5, 2.6, -1.3):
+        _same(jets.powr(u, p), jets.powr(generic, p))
+
+
+def test_a_square_keeps_its_structural_zeros():
+    for r in (jets.seed(1.7), jets.seed(np.array([0.5, 2.0]))):
+        for square in (r**2, r * r, jets.powr(r, 2.0)):
+            assert all(c is jets.ZERO for c in square.coeffs[3:])
+        assert (r**2).coeffs[2] == 1.0
+
+
+def test_a_zero_in_the_source_is_an_ordinary_number(capsys):
+    # 0 * inf is nan: the written 0 must not drop the overflowing term
+    jet = potentials.expression("0*exp(1000*r)").eval_jet(1.0)
+    assert all(np.isnan(c) for c in jet.coeffs)
+    rc = cli.main(["solve", "--dim", "3", "--potential", "r^2 + 0*exp(1000*r)",
+                   "--l", "0", "--nr", "0"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: no root")
+
+
+# each builtin's jet, from its own source, vs the same potential in other
+# spellings, all orders, random points: the closed forms on affine
+# arguments against the recurrences; {name} in a spelling is that
+# parameter's value as a literal
 SPELLINGS = {
     "coulomb": ["-2/r", "-2*exp(-ln(r))", "2/(-r)", "-2*r^-1"],
     "harmonic": ["B^2*r^2/4", "({B}*r/2)^2", "B*B*r*r*0.25"],

@@ -93,6 +93,17 @@ def test_donor_over_an_array_of_gammas():
             potentials.donor(np.array([0.5, bad, 2.0, -7.0]), 0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: potentials.donor(10**400, 0),
+    lambda: potentials.harmonic(10**400),
+    lambda: potentials.power(1, 10**400),
+    lambda: potentials.expression("A*r", {"A": 10**400}),
+], ids=["donor", "harmonic", "power", "expression"])
+def test_an_integer_beyond_the_float_range_is_a_domain_error(build):
+    with pytest.raises(DomainError, match="int too large to convert to float"):
+        build()
+
+
 def test_harmonic_jet_overflows_to_inf():
     # B^2 overflows as the spelled B^2*r^2/4 does, without an exception
     jet = potentials.harmonic(1e200).eval_jet(1.0)
