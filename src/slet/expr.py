@@ -337,6 +337,9 @@ def evaluate(node, rval, params):
     """
     if not isinstance(rval, jets.Jet) and np.ndim(rval) == 0:
         v = evaluate(node, np.full(1, rval, dtype=float), params)
+        if np.size(v) != 1:  # lanes, which one scalar r cannot stand for
+            raise ValueError(f"a scalar r gives {np.size(v)} values: "
+                             "a parameter is an array")
         return v[0] if np.ndim(v) else v
 
     def ev(nd):  # BinOp first: most nodes are operators
@@ -351,7 +354,8 @@ def evaluate(node, rval, params):
             if not (isinstance(a, jets.Jet) or isinstance(b, jets.Jet)):
                 if nd.op == "/":
                     return np.divide(a, b)
-                # plain numbers are floats; r is an array or a Jet
+                # a plain number is a float or a lane array, whose bad
+                # lanes go nan as r's do; r is an array or a Jet
                 if (isinstance(a, float) and isinstance(b, float) and a < 0
                         and not b.is_integer()):
                     jets._check_positive("pow", a)

@@ -14,8 +14,9 @@ A plain number operand is a constant: + and - touch a0 alone, * and /
 scale the coefficients. Seeds and constants hold the structural zero ZERO
 in their higher coefficients, and + - * / skip it; a zero computed or
 written in a source is an ordinary number (0 * inf is nan). An affine
-Jet, u0 + u1 h, takes its powers, its ln and a constant over it in closed
-form (Griewank & Walther, Evaluating Derivatives, ch. 13).
+Jet, u0 + u1 h, takes its ln, a constant over it and its powers but the
+integers p >= 0 in closed form (Griewank & Walther, Evaluating
+Derivatives, ch. 13).
 """
 from __future__ import annotations
 
@@ -49,23 +50,18 @@ def _affine(a):
                      for c in a.coeffs[:2])
 
 
-def _affine_power(u0, u1, p, poly: bool) -> Jet:
-    """(u0 + u1 h)^p: a_k = binom(p, k) u0^(p-k) u1^k; ZERO above a_p for a
-    polynomial, an integer p >= 0. A slope of 1.0 gives the derivatives of
-    r^p, each power of u0 taken whole, as for c/r and ln r; other slopes go
-    through u1/u0, finite where u1^k or u0^k overflows, except in a
-    polynomial, whose u0 may be 0."""
-    ratio = not (poly or _is_one(u1))
+def _affine_power(u0, u1, p) -> Jet:
+    """(u0 + u1 h)^p: a_k = binom(p, k) u0^(p-k) u1^k. A slope of 1.0 gives
+    the derivatives of r^p, each power of u0 taken whole, as for c/r and
+    ln r; other slopes go through u1/u0, finite where u1^k or u0^k
+    overflows."""
+    one = _is_one(u1)
     out, falling = [], 1.0
-    for k in range(min(int(p), ORDER) + 1 if poly else NCOEF):
-        if ratio:
-            ck = u0**p * (u1 / u0) ** k
-        else:  # leaving out the factors u0^0 and a slope of 1.0
-            ck = u0 ** (p - k) if p != k else 1.0
-            ck = ck if _is_one(u1) else ck * u1**k
+    for k in range(NCOEF):
+        ck = u0 ** (p - k) if one else u0**p * (u1 / u0) ** k
         out.append(ck if k == 0 else falling / _FACT[k] * ck)
         falling *= p - k
-    return Jet(out + [ZERO] * (NCOEF - len(out)))
+    return Jet(out)
 
 
 class Jet:
@@ -164,13 +160,12 @@ def const(c) -> Jet:
 
 def seed(r0) -> Jet:
     """Jet of the radial variable itself at r0: (r0, 1.0, ZERO, ...)."""
-    if _is_scalar(r0):
-        if not np.isfinite(r0) or r0 <= 0:
-            raise DomainError(f"expansion point must be positive and finite, got {r0}")
-    else:
+    if isinstance(r0, (list, tuple)) or not _is_scalar(r0):  # points, as an array
         r0 = np.asarray(r0, dtype=float)
         if r0.size and (not np.all(np.isfinite(r0)) or np.any(r0 <= 0)):
             raise DomainError("expansion points must all be positive and finite")
+    elif not np.isfinite(r0) or r0 <= 0:
+        raise DomainError(f"expansion point must be positive and finite, got {r0}")
     return Jet((r0, 1.0) + (ZERO,) * (ORDER - 1))
 
 
@@ -253,9 +248,10 @@ def _sincos(a: Jet):
 
 
 def powr(a: Jet, p) -> Jet:
-    """a**p: an affine a to a finite number p in closed form; otherwise a
-    finite integer p by square-and-multiply (exact for polynomials, about
-    2 log2|p| products), and any other p, a Jet one (an exponent that
+    """a**p: a finite integer p >= -1 by square-and-multiply, which keeps a
+    polynomial's structural zeros (p = -1 is 1/a); any other finite p in
+    closed form on an affine a, else an integer p by square-and-multiply
+    (about 2 log2|p| products); any other p, a Jet one (an exponent that
     depends on r) included, as exp(p*ln a), which needs a0 > 0."""
     if isinstance(p, Jet):
         return exp(p * ln(a))
@@ -266,9 +262,9 @@ def powr(a: Jet, p) -> Jet:
         _check_positive("pow", u0)
     elif p < 0 and _is_scalar(u0) and u0 == 0:
         raise SingularityError("jet division by zero leading coefficient")
-    if finite and (aff := _affine(a)):
+    if finite and not (integer and p >= -1) and (aff := _affine(a)):
         with np.errstate(all="ignore"):
-            return _affine_power(*aff, p, integer and p >= 0)
+            return _affine_power(*aff, p)
     if not integer:
         return exp(p * ln(a))
     n = int(p)

@@ -23,6 +23,13 @@ def test_seed_rejects_bad_point(bad):
         jets.seed(bad)
 
 
+def test_seed_takes_a_list_of_points_as_an_array():
+    r0 = jets.seed([0.5, 1.0]).value
+    assert isinstance(r0, np.ndarray) and r0.tolist() == [0.5, 1.0]
+    with pytest.raises(DomainError, match="expansion points"):
+        jets.seed([0.5, -1.0])
+
+
 def test_square_by_multiplication():
     r = jets.seed(3.0)
     assert (r * r).coeffs == (9.0, 6.0, 1.0, 0.0, 0.0, 0.0, 0.0)
@@ -165,6 +172,15 @@ def test_closed_forms_match_the_recurrences(a, b, r0):
     _same(jets.ln(u), jets.ln(generic))
     for p in (2, 3, -1, -2, 0.5, 2.6, -1.3):
         _same(jets.powr(u, p), jets.powr(generic, p))
+
+
+def test_a_reciprocal_has_one_closed_form():
+    # r^-1 is 1/r, coefficient for coefficient, on any affine argument
+    for a, b in AFFINE:
+        for r0 in POINTS:
+            u = a * jets.seed(r0) + b
+            for got, want in zip(jets.powr(u, -1).coeffs, (1.0 / u).coeffs):
+                assert np.array_equal(got, want)
 
 
 def test_a_square_keeps_its_structural_zeros():

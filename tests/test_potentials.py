@@ -93,6 +93,13 @@ def test_donor_over_an_array_of_gammas():
             potentials.donor(np.array([0.5, bad, 2.0, -7.0]), 0)
 
 
+def test_a_scalar_r_on_lanes_is_refused():
+    lanes = potentials.donor(np.array([0.0, 0.5, 2.0]), -1)
+    assert lanes.value(np.array([1.5])).shape == (3,)
+    with pytest.raises(ValueError, match="a scalar r gives 3 values"):
+        lanes.value(1.5)
+
+
 @pytest.mark.parametrize("build", [
     lambda: potentials.donor(10**400, 0),
     lambda: potentials.harmonic(10**400),
