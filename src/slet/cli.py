@@ -29,7 +29,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__, engine, oracle, potentials
@@ -217,16 +216,17 @@ def _level_rows(columns, keys, results) -> list:
 
 
 def _record(args, settings, bd, res) -> dict:
-    """The problem, breakdown and oracle members of a solve or validate run."""
+    """The problem, breakdown and oracle members of a solve or validate run;
+    every field is immutable, so shallow copies of the dataclasses serve."""
     return {
         "problem": {
             "dim": args.dim, "l": args.l, "nr": args.nr,
             "potential": args.potential, "params": _parse_params(args.param),
-            "terms": args.terms, "solver": asdict(settings),
+            "terms": args.terms, "solver": dict(vars(settings)),
         },
-        "breakdown": None if bd is None else asdict(bd),
+        "breakdown": None if bd is None else dict(vars(bd)),
         "oracle": None if res is None else {
-            **asdict(res), "energy_extrapolated": res.energy_extrapolated},
+            **vars(res), "energy_extrapolated": res.energy_extrapolated},
     }
 
 

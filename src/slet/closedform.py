@@ -165,13 +165,13 @@ def discrepancy_report() -> str:
     pot = potentials.donor(0.0, 0)
     res = oracle.eigenvalue(2, 0, 0, pot,
                             oracle.OracleConfig(box_radius=60.0,
-                                                grid_points=8000))
+                                                grid_points=4000))
     cand = donor_zero_field(0, 0)
     pick = (cand.as_printed
             if abs(res.energy_extrapolated - cand.as_printed)
             < abs(res.energy_extrapolated - cand.derived)
             else cand.derived)
-    lines.append(f"  oracle (R=60, N=8000): energy {res.energy:.6f}, "
+    lines.append(f"  oracle (R=60, N=4000): energy {res.energy:.6f}, "
                  f"refined {res.energy_refined:.6f}, "
                  f"extrapolated {res.energy_extrapolated:.6f}, "
                  f"converged={res.converged}")
@@ -189,7 +189,7 @@ def discrepancy_report() -> str:
         potm = potentials.donor(0.0, m_abs)
         resm = oracle.eigenvalue(2, m_abs, 0, potm,
                                  oracle.OracleConfig(box_radius=60.0,
-                                                     grid_points=8000))
+                                                     grid_points=4000))
         cm = donor_zero_field(0, m_abs)
         lines.append(
             f"  |m|={m_abs}: oracle extrapolated {resm.energy_extrapolated:.8f}, "

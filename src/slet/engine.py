@@ -151,6 +151,14 @@ def beta_shift(dim: int, n_radial, w):
     return -(n_radial + 0.5) * w / 2.0
 
 
+def _frequency(r, vp, c2):
+    """w = 2 sqrt(3 + r V''/V') elementwise, from the jet's c1 = V' and
+    c2 = V''/2; nan exactly where V' <= 0 or the radicand is not positive."""
+    radicand = 3.0 + (2.0 * r) * c2 / vp
+    return np.where((vp > 0) & (radicand > 0), 2.0 * np.sqrt(radicand),
+                    np.nan)
+
+
 def _scan(potential: Potential, settings: SolverSettings):
     """The log-spaced scan grid over the bracket window, with sqrt(r^3 V'/2)
     and w(r) on it from one jet, nan where undefined, without a warning,
@@ -164,22 +172,22 @@ def _scan(potential: Potential, settings: SolverSettings):
         # each is dropped once used, to keep the peak memory down
         _, vp, c2, *_ = potential.eval_jet(r).coeffs
         vp = np.asarray(vp, dtype=float)
-        radicand = 3.0 + (2.0 * r) * np.asarray(c2, dtype=float) / vp
+        w = _frequency(r, vp, np.asarray(c2, dtype=float))
         del c2
-        w = np.where((vp > 0) & (radicand > 0), 2.0 * np.sqrt(radicand),
-                     np.nan)
-        del radicand
         lhs = np.sqrt(r**3 * vp / 2.0)
     rising = np.atleast_1d(np.isfinite(vp) & (vp > 0)).any(axis=-1)
     return r, lhs, w, rising
 
 
-def _sign_changes(f, finite):
-    """Mask of the scan cells [i, i+1] along the last axis that bracket a
-    root of F: a sign change, or F exactly zero at the left end. `finite`
-    is np.isfinite(f)."""
-    return (finite[..., :-1] & finite[..., 1:]
-            & ((f[..., :-1] == 0.0) | (f[..., :-1] * f[..., 1:] < 0.0)))
+def _cells(f, finite):
+    """Mask of the scan cells along the last axis that bracket a root of F.
+    Cell i is [i, i+1] where F is finite at both ends and changes sign or
+    is exactly 0 at i; the last grid point is a cell of its own where F is
+    exactly 0 there. `finite` is np.isfinite(f)."""
+    cells = f == 0.0
+    cells[..., :-1] |= f[..., :-1] * f[..., 1:] < 0.0
+    cells[..., :-1] &= finite[..., :-1] & finite[..., 1:]
+    return cells
 
 
 def _jet_at(problem: SletProblem, r: float):
@@ -301,18 +309,16 @@ def solve_r0(problem: SletProblem):
     with np.errstate(all="ignore"):
         f = lhs - problem.l + beta_shift(problem.dim, problem.n_radial, w)
         finite = np.isfinite(f)
-        changes = np.flatnonzero(_sign_changes(f, finite))
+        cells = np.flatnonzero(_cells(f, finite))
 
     roots = []
-    for i in changes.tolist():
+    for i in cells.tolist():
         lo, flo = float(grid[i]), float(f[i])
         if flo == 0.0:
             roots.append(lo)
         else:
             roots.append(_polish_root(problem, lo, float(grid[i + 1]),
                                       flo, float(f[i + 1])))
-    if f[-1] == 0.0:
-        roots.append(float(grid[-1]))
 
     if not roots:
         raise _rootless(s, rising, finite.any())
@@ -491,30 +497,30 @@ def _lanes(potential: Potential, index) -> Potential:
 
 def _equation_with_slope_arrays(dim, potential, l, n, r):
     """F(r) and F'(r) of _lbar_equation_with_slope, elementwise over lanes
-    with their own l and n, from one array jet. F is nan on a lane where
-    the scalar form raises."""
+    with their own l and n, from one array jet. F is not finite on a lane
+    where the scalar form raises."""
     c = potential.eval_jet(r).coeffs
     vp, vpp, vppp = c[1], 2.0 * c[2], 6.0 * c[3]
-    g = np.where(vp > 0, 3.0 + r * vpp / vp, np.nan)
+    w = _frequency(r, vp, c[2])
     s = np.sqrt(r**3 * vp / 2.0)
-    f = s - l + beta_shift(dim, n, 2.0 * np.sqrt(g))
-    f = np.where((g > 0) & np.isfinite(f), f, np.nan)
+    f = s - l + beta_shift(dim, n, w)
     q = vpp / vp
     dg = q + r * vppp / vp - r * q * q
     dbeta = beta_shift(dim, n, 1.0) - beta_shift(dim, n, 0.0)
-    fp = (3.0 * r * r * vp + r**3 * vpp) / (4.0 * s) + dbeta * dg / np.sqrt(g)
+    # 0.5 w is sqrt(g) to the bit
+    fp = (3.0 * r * r * vp + r**3 * vpp) / (4.0 * s) + dbeta * dg / (0.5 * w)
     return f, fp
 
 
 def _polish_roots(dim, potential, l, n, lo, hi, flo, fhi, tol):
     """_polish_root on every lane at once, with one array jet per pass.
 
-    `potential` holds one entry per lane in each array parameter, and the
-    lanes that go on keep theirs, beside their l and n. Each lane takes
-    the steps of the scalar iteration and stops where it stops. A lane
-    whose F cannot be evaluated stops with a nan root. The scalar search
-    keeps its own loop: run through _brackets and this one, it made
-    `slet solve` 1.17x slower.
+    A lane is one bracket: l, n, lo, hi, flo and fhi hold one entry per
+    lane, and so does each array parameter of `potential`; the lanes that
+    go on keep theirs. Each lane takes the steps of the scalar iteration
+    and stops where it stops. The result holds each lane's root, nan where
+    its F could not be evaluated. The scalar search keeps its own loop:
+    run through _brackets and this one, it made `slet solve` 1.17x slower.
     """
     root = np.full(lo.shape, np.nan)
     lane = np.arange(lo.size)
@@ -544,43 +550,29 @@ def _polish_roots(dim, potential, l, n, lo, hi, flo, fhi, tol):
     return root
 
 
-def _brackets(dim, grid, lhs, w, levels):
-    """Every bracket of every (index, row, l, n) level: the owning index,
-    that level's row, l and n, the left grid cell and F at both ends of
-    the cell. A level's F comes from its own row of the scan's lhs and w.
-
-    F is built one radial number at a time, as a (levels of that n) x grid
-    array; one array for all levels raised `spectrum` peak RSS from 30.8
-    to 31.6 MB. Levels that share one row take it by broadcasting, and
-    levels on consecutive rows take them as a view. A level's brackets
-    come in the scalar search's order: its sign changes left to right,
-    then a zero on the last grid point (a cell of its own whose F is 0 at
-    both ends). F = 0 at the left end marks a root on the grid.
-    """
-    by_n = {}
-    for level in levels:
-        by_n.setdefault(level[3], []).append(level)
-    picked, cell, f_lo, f_hi = [], [], [], []
-    for n, members in by_n.items():
-        at = [row for _, row, _, _ in members]
-        first = at[0]
-        if at == [first] * len(at):  # one row, broadcast over its levels
-            at = slice(first, first + 1)
-        elif at == list(range(first, first + len(at))):  # a view, no copy
-            at = slice(first, first + len(at))
-        l_col = np.array([l for _, _, l, _ in members], dtype=float)[:, None]
-        f = lhs[at] - l_col + beta_shift(dim, n, w[at])
-        hits, cols = np.nonzero(_sign_changes(f, np.isfinite(f)))
-        ends = np.flatnonzero(f[:, -1] == 0.0)
-        picked += [members[k] for k in hits.tolist() + ends.tolist()]
-        none = np.zeros(ends.size)
-        cell.append(np.concatenate([cols, np.full(ends.size, grid.size - 1)]))
-        f_lo.append(np.concatenate([f[hits, cols], none]))
-        f_hi.append(np.concatenate([f[hits, cols + 1], none]))
-    owner, row, l, n = zip(*picked) if picked else [()] * 4
-    return (list(owner), np.array(row, dtype=int), np.array(l, dtype=float),
-            np.array(n, dtype=float),
-            *(np.concatenate(a) for a in (cell, f_lo, f_hi)))
+def _brackets(dim, lhs, w, l, n):
+    """The brackets of every level k, whose F comes from its scan rows
+    lhs[k], w[k] and its own l[k], n[k]. Per bracket, in the scalar
+    search's order: the level, the cell of _cells and F at both ends of it
+    (F = 0 at the left end marks a root on the grid). Per level: whether F
+    is finite anywhere. F is built one n at a time, as a (levels of that
+    n) x grid array; one array for all levels raised `spectrum` peak RSS
+    from 30.84 to 31.85 MB."""
+    level, cell, f_lo, f_hi = [], [], [], []
+    defined = np.empty(l.shape, dtype=bool)
+    width = lhs.shape[-1]
+    for nk in dict.fromkeys(n.tolist()):
+        at = np.flatnonzero(n == nk)
+        f = lhs[at] - l[at, None] + beta_shift(dim, nk, w[at])
+        finite = np.isfinite(f)
+        defined[at] = finite.any(axis=-1)
+        # np.nonzero of the 2-D mask takes about 10x longer
+        hits, cols = np.divmod(np.flatnonzero(_cells(f, finite)), width)
+        level.append(at[hits])
+        cell.append(cols)
+        f_lo.append(f[hits, cols])
+        f_hi.append(f[hits, np.minimum(cols + 1, width - 1)])
+    return (*(np.concatenate(a) for a in (level, cell, f_lo, f_hi)), defined)
 
 
 def _solve_batch(dim, potential, settings, levels) -> dict:
@@ -591,21 +583,25 @@ def _solve_batch(dim, potential, settings, levels) -> dict:
     NoBoundStateError among them. A level is left out when a lane of it
     hit a point where F cannot be evaluated, or it has no admissible
     minimum, or one of its energy terms is not finite."""
+    index, row, l, n = zip(*levels)
+    l, n = np.array(l, dtype=float), np.array(n, dtype=float)
+    # each level's own lane; a potential without lanes stays as it is, and
+    # its one scan row serves every level
+    potential = _lanes(potential, np.array(row))
     grid, lhs, w_grid, rising = _scan(_lanes(potential, (slice(None), None)),
                                       settings)
-    lhs, w_grid = np.atleast_2d(lhs, w_grid)
-    rising = np.atleast_1d(rising)
-    owner, row, l, n, cell, f_lo, f_hi = _brackets(dim, grid, lhs, w_grid,
-                                                   levels)
-    bracketed, out = set(owner), {}
-    for i, ri, li, ni in levels:
-        if i not in bracketed:
-            f = lhs[ri] - li + beta_shift(dim, ni, w_grid[ri])
-            out[i] = _rootless(settings, rising[ri], np.isfinite(f).any())
-    if not owner:
+    lhs, w_grid = (np.broadcast_to(a, (l.size, grid.size))
+                   for a in (lhs, w_grid))
+    level, cell, f_lo, f_hi, defined = _brackets(dim, lhs, w_grid, l, n)
+    rising = np.broadcast_to(rising, l.shape)
+    bracketed = set(level.tolist())
+    out = {i: _rootless(settings, rising[k], defined[k])
+           for k, i in enumerate(index) if k not in bracketed}
+    if not level.size:
         return out
 
-    potential = _lanes(potential, row)
+    owner = [index[k] for k in level.tolist()]
+    l, n, potential = l[level], n[level], _lanes(potential, level)
     roots = grid[cell]
     lanes = f_lo != 0.0
     if lanes.any():
@@ -615,17 +611,16 @@ def _solve_batch(dim, potential, settings, levels) -> dict:
             grid[cell[lanes] + 1], f_lo[lanes], f_hi[lanes], tol)
 
     # one jet at every root: the frequency, the exact-curvature minimum
-    # test and E0 = lbar^2/r0^2 + V(r0), as in the scalar search
+    # test and E0 = lbar^2/r0^2 + V(r0), as in the scalar search. A +inf
+    # frequency stays admissible, as there.
     ok = np.isfinite(roots)
     roots = np.where(ok, roots, 1.0)
     coeffs = [c if np.ndim(c) else np.full(roots.shape, float(c))
               for c in potential.eval_jet(roots).coeffs]
-    vp, c2 = coeffs[1], coeffs[2]
-    radicand = 3.0 + roots * (2.0 * c2) / vp
-    ok &= (vp > 0) & (radicand > 0)
-    w = 2.0 * np.sqrt(radicand)
+    w = _frequency(roots, coeffs[1], coeffs[2])
+    ok &= ~np.isnan(w)
     lbar = l - beta_shift(dim, n, w)
-    is_min = (lbar > 0) & (6.0 * lbar**2 / roots**4 + 2.0 * c2 > 0)
+    is_min = (lbar > 0) & (6.0 * lbar**2 / roots**4 + 2.0 * coeffs[2] > 0)
     e0 = lbar**2 / roots**2 + coeffs[0]
 
     slots = {}

@@ -696,6 +696,22 @@ def test_sweep_rows_narrow_window_keep_the_scalar_errors():
     _assert_matches_scalar(batch, 2, pots, levels, solver)
 
 
+def test_lanes_after_a_rejected_level_keep_their_own_gamma():
+    # the rejected level leaves a gap, so the third and fourth levels sit
+    # at positions 1 and 2 of the batch but take lanes 2 and 3
+    gammas = [0.5, 2.0, 8.0, 20.0]
+    lanes, _, pots = _sweep(-1, 0, gammas)
+    levels = [(1, 0), (0, 0), (1, 0), (1, 1)]
+    batch = engine.solve_levels(2, lanes, levels, SolverSettings())
+    assert [type(b) for b in batch] == [engine.SletBreakdown, ValueError,
+                                        engine.SletBreakdown,
+                                        engine.SletBreakdown]
+    _assert_matches_scalar(batch, 2, pots, levels, SolverSettings())
+    for k in (0, 2, 3):
+        want = engine.solve(SletProblem(2, *levels[k], pots[k]))
+        assert batch[k].E_total == want.E_total, k
+
+
 def test_unsettled_lanes_are_solved_with_their_own_parameters(monkeypatch):
     # a batch that settles nothing leaves every row to solve() of its own
     # donor: the very same breakdown, or the very same error
