@@ -15,6 +15,10 @@ back to bisection whenever a step leaves the bracket. The energy is then
 assembled from the zeroth-order term plus second- and third-order corrections
 driven by the anharmonicity coefficients alpha1, alpha2.
 
+One dimension rule: as (l − 1/2)(l + 1/2) = l² − 1/4, a 2D level at l is the
+3D level at l − 1/2 (SletProblem.l_eff), and every level is solved so. Only
+the reported β keeps the 2D convention: the 3D shift plus 1/2.
+
 Two paths share that method. solve() and solve_r0() take one level with
 scalar jets. solve_levels() takes many levels at once, as lanes with their
 own l, n and parameters (an array parameter holds one entry per level): F
@@ -100,6 +104,11 @@ class SletProblem:
                 raise ValueError(
                     f"2D donor requires l = |m|; got l={self.l}, m={m}")
 
+    @property
+    def l_eff(self):
+        """The l of the 3D level this level is solved as."""
+        return self.l + (self.dim - 3) / 2
+
 
 @dataclass(frozen=True)
 class SletBreakdown:
@@ -144,11 +153,16 @@ def _omega(jet, r: float) -> float:
 
 
 def beta_shift(dim: int, n_radial, w):
-    """Shift removing the first-order energy term. Works elementwise on
-    n_radial and w."""
-    if dim == 3:
-        return -(2.0 + (2 * n_radial + 1) * w) / 4.0
-    return -(n_radial + 0.5) * w / 2.0
+    """Shift removing the first-order energy term, elementwise on n_radial
+    and w: the 3D shift, plus 1/2 in 2D."""
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
+    return _shift(n_radial, w) + (3 - dim) / 2
+
+
+def _shift(n_radial, w):
+    """The 3D shift -(2 + (2n + 1) w)/4, exactly; slope in w: -(n + 1/2)/2."""
+    return -(0.5 + (n_radial + 0.5) / 2.0 * w)
 
 
 def _frequency(r, vp, c2):
@@ -217,15 +231,13 @@ def _lbar_equation_with_slope(problem: SletProblem, r: float):
             f"equation not evaluable at r = {r}: V' = {vp}, "
             f"3 + r V''/V' = {g}")
     s = math.sqrt(r**3 * vp / 2.0)
-    dim, n = problem.dim, problem.n_radial
-    f = s - problem.l + beta_shift(dim, n, 2.0 * math.sqrt(g))
+    f = s - problem.l_eff + _shift(problem.n_radial, 2.0 * math.sqrt(g))
     if not math.isfinite(f):
         raise InvalidExpansionPointError(
             f"equation not evaluable at r = {r}: F = {f}")
     q = vpp / vp
     dg = q + r * vppp / vp - r * q * q
-    # beta is linear in w; its slope is the change per unit frequency
-    dbeta = beta_shift(dim, n, 1.0) - beta_shift(dim, n, 0.0)
+    dbeta = -(problem.n_radial + 0.5) / 2.0
     fp = (3.0 * r * r * vp + r**3 * vpp) / (4.0 * s) + dbeta * dg / math.sqrt(g)
     return f, fp
 
@@ -307,7 +319,7 @@ def solve_r0(problem: SletProblem):
     s = problem.solver
     grid, lhs, w, rising = _scan(problem.potential, s)
     with np.errstate(all="ignore"):
-        f = lhs - problem.l + beta_shift(problem.dim, problem.n_radial, w)
+        f = lhs - problem.l_eff + _shift(problem.n_radial, w)
         finite = np.isfinite(f)
         cells = np.flatnonzero(_cells(f, finite))
 
@@ -327,7 +339,7 @@ def solve_r0(problem: SletProblem):
     for r0 in roots:
         jet = _jet_at(problem, r0)
         w = _omega(jet, r0)
-        lbar = problem.l - beta_shift(problem.dim, problem.n_radial, w)
+        lbar = problem.l_eff - _shift(problem.n_radial, w)
         if not lbar > 0:
             continue
         if 6.0 * lbar**2 / r0**4 + 2.0 * jet.coeffs[2] > 0:
@@ -350,27 +362,24 @@ def solve_r0(problem: SletProblem):
 
 def appendix_coeffs(dim: int, beta: float, r0: float, Q: float, potjet, w: float):
     """The ten expansion coefficients (eps1..4, dlt1..6) and their scaled
-    forms e_j = eps_j / w^(j/2), d_i = dlt_i / w^(i/2).
+    forms e_j = eps_j / w^(j/2), d_i = dlt_i / w^(i/2); in 2D, at beta - 1/2.
 
     potjet holds Taylor coefficients c_k = V^(k)(r0)/k!, which absorb the
     factorials in the derivative terms: r0^5 V'''/6Q = r0^5 c3 / Q etc.
     """
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
+    beta = beta - (3 - dim) / 2
     c = potjet.coeffs
     e3_tail = r0**5 * c[3] / Q
     e4_tail = r0**6 * c[4] / Q
     d5_tail = r0**7 * c[5] / Q
     d6_tail = r0**8 * c[6] / Q
-    if dim == 3:
-        tb = 2.0 * beta + 1.0
-        bb = beta * (1.0 + beta)
-        eps = (-2.0 * tb, 3.0 * tb, -4.0 + e3_tail, 5.0 + e4_tail)
-        dlt = (-2.0 * bb, 3.0 * bb, -4.0 * tb, 5.0 * tb,
-               -6.0 + d5_tail, 7.0 + d6_tail)
-    else:
-        bb = beta * beta - 0.25
-        eps = (-4.0 * beta, 6.0 * beta, -4.0 + e3_tail, 5.0 + e4_tail)
-        dlt = (-2.0 * bb, 3.0 * bb, -8.0 * beta, 10.0 * beta,
-               -6.0 + d5_tail, 7.0 + d6_tail)
+    tb = 2.0 * beta + 1.0
+    bb = beta * (1.0 + beta)
+    eps = (-2.0 * tb, 3.0 * tb, -4.0 + e3_tail, 5.0 + e4_tail)
+    dlt = (-2.0 * bb, 3.0 * bb, -4.0 * tb, 5.0 * tb,
+           -6.0 + d5_tail, 7.0 + d6_tail)
     rw = math.sqrt(w) if isinstance(w, float) else np.sqrt(w)
     e = tuple(eps[j] / rw ** (j + 1) for j in range(4))
     d = tuple(dlt[i] / rw ** (i + 1) for i in range(6))
@@ -426,29 +435,22 @@ def alpha2(n_radial: int, w: float, e, d) -> float:
 # -- assembly --------------------------------------------------------------
 
 
-def _energy_terms(dim, l, n_radial, r0, jet, w, term_order) -> dict:
-    """Every SletBreakdown field but the candidates, from the potential's
-    jet at r0 and the frequency w there. Elementwise: l, n_radial, r0, w
-    and the jet's coefficients may be arrays of one shape."""
+def _energy_terms(l, n_radial, r0, jet, w, term_order) -> dict:
+    """Every SletBreakdown field but the candidates, of the 3D level at l,
+    from the potential's jet at r0 and the frequency w there. Elementwise:
+    l, n_radial, r0, w and the jet's coefficients may be same-shape arrays."""
     n = n_radial
-    beta = beta_shift(dim, n, w)
+    beta = _shift(n, w)
     lbar = l - beta
     Q = lbar * lbar
     E0 = Q / r0**2 + jet.coeffs[0]
+    E1 = (Q / r0**2) * (2.0 * beta + 1.0 + (n + 0.5) * w)
 
-    if dim == 3:
-        first_order = 2.0 * beta + 1.0 + (n + 0.5) * w
-        second_shift = beta * (1.0 + beta)
-    else:
-        first_order = 2.0 * beta + (n + 0.5) * w
-        second_shift = beta * beta - 0.25
-    E1 = (Q / r0**2) * first_order
-
-    eps, dlt, e, d = appendix_coeffs(dim, beta, r0, Q, jet, w)
+    eps, dlt, e, d = appendix_coeffs(3, beta, r0, Q, jet, w)
     a1 = alpha1(n, w, e)
     a2 = alpha2(n, w, e, d)
 
-    E2_term = (second_shift + a1) / r0**2
+    E2_term = (beta * (1.0 + beta) + a1) / r0**2
     E3_term = a2 / (lbar * r0**2)
 
     E_total = E0
@@ -471,8 +473,9 @@ def solve(problem: SletProblem) -> SletBreakdown:
     # through the module-level name, which per-layer tracing wraps
     found = solve_r0(problem)
     (r0, candidates), jet = found, found.jet
-    terms = _energy_terms(problem.dim, problem.l, problem.n_radial, r0, jet,
+    terms = _energy_terms(problem.l_eff, problem.n_radial, r0, jet,
                           _omega(jet, r0), problem.solver.term_order)
+    terms["beta"] += (3 - problem.dim) / 2
     for name in ("E0", "E1", "E2_over_lbar2", "E3_over_lbar3", "E_total"):
         if not math.isfinite(terms[name]):
             raise InvalidExpansionPointError(
@@ -495,7 +498,7 @@ def _lanes(potential: Potential, index) -> Potential:
     return replace(potential, params={**potential.params, **own})
 
 
-def _equation_with_slope_arrays(dim, potential, l, n, r):
+def _equation_with_slope_arrays(potential, l, n, r):
     """F(r) and F'(r) of _lbar_equation_with_slope, elementwise over lanes
     with their own l and n, from one array jet. F is not finite on a lane
     where the scalar form raises."""
@@ -503,16 +506,16 @@ def _equation_with_slope_arrays(dim, potential, l, n, r):
     vp, vpp, vppp = c[1], 2.0 * c[2], 6.0 * c[3]
     w = _frequency(r, vp, c[2])
     s = np.sqrt(r**3 * vp / 2.0)
-    f = s - l + beta_shift(dim, n, w)
+    f = s - l + _shift(n, w)
     q = vpp / vp
     dg = q + r * vppp / vp - r * q * q
-    dbeta = beta_shift(dim, n, 1.0) - beta_shift(dim, n, 0.0)
+    dbeta = -(n + 0.5) / 2.0
     # 0.5 w is sqrt(g) to the bit
     fp = (3.0 * r * r * vp + r**3 * vpp) / (4.0 * s) + dbeta * dg / (0.5 * w)
     return f, fp
 
 
-def _polish_roots(dim, potential, l, n, lo, hi, flo, fhi, tol):
+def _polish_roots(potential, l, n, lo, hi, flo, fhi, tol):
     """_polish_root on every lane at once, with one array jet per pass.
 
     A lane is one bracket: l, n, lo, hi, flo and fhi hold one entry per
@@ -528,7 +531,7 @@ def _polish_roots(dim, potential, l, n, lo, hi, flo, fhi, tol):
     x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
     last_step = hi - lo
     while lane.size:
-        f, fp = _equation_with_slope_arrays(dim, potential, l, n, x)
+        f, fp = _equation_with_slope_arrays(potential, l, n, x)
         on_root = f == 0.0
         root[lane[on_root]] = x[on_root]
         same = (f < 0.0) == (flo < 0.0)
@@ -550,7 +553,7 @@ def _polish_roots(dim, potential, l, n, lo, hi, flo, fhi, tol):
     return root
 
 
-def _brackets(dim, lhs, w, l, n):
+def _brackets(lhs, w, l, n):
     """The brackets of every level k, whose F comes from its scan rows
     lhs[k], w[k] and its own l[k], n[k]. Per bracket, in the scalar
     search's order: the level, the cell of _cells and F at both ends of it
@@ -563,7 +566,7 @@ def _brackets(dim, lhs, w, l, n):
     width = lhs.shape[-1]
     for nk in dict.fromkeys(n.tolist()):
         at = np.flatnonzero(n == nk)
-        f = lhs[at] - l[at, None] + beta_shift(dim, nk, w[at])
+        f = lhs[at] - l[at, None] + _shift(nk, w[at])
         finite = np.isfinite(f)
         defined[at] = finite.any(axis=-1)
         # np.nonzero of the 2-D mask takes about 10x longer
@@ -576,13 +579,13 @@ def _brackets(dim, lhs, w, l, n):
 
 
 def _solve_batch(dim, potential, settings, levels) -> dict:
-    """{index: SletBreakdown or SletError} of the (index, row, l, n) levels
-    that the batch search settles. `potential` holds one entry per row in
-    each array parameter; a level takes its row's. A level without a
-    bracket gets the scalar search's error at once, the scan's
-    NoBoundStateError among them. A level is left out when a lane of it
-    hit a point where F cannot be evaluated, or it has no admissible
-    minimum, or one of its energy terms is not finite."""
+    """{index: SletBreakdown or SletError} of the (index, row, l_eff, n)
+    levels that the batch search settles; dim sets only the reported beta.
+    `potential` holds one entry per row in each array parameter; a level
+    takes its row's. A level without a bracket gets the scalar search's
+    error at once, the scan's NoBoundStateError among them. A level is
+    left out when a lane of it hit a point where F cannot be evaluated, or
+    it has no admissible minimum, or one of its energy terms is not finite."""
     index, row, l, n = zip(*levels)
     l, n = np.array(l, dtype=float), np.array(n, dtype=float)
     # each level's own lane; a potential without lanes stays as it is, and
@@ -592,7 +595,7 @@ def _solve_batch(dim, potential, settings, levels) -> dict:
                                       settings)
     lhs, w_grid = (np.broadcast_to(a, (l.size, grid.size))
                    for a in (lhs, w_grid))
-    level, cell, f_lo, f_hi, defined = _brackets(dim, lhs, w_grid, l, n)
+    level, cell, f_lo, f_hi, defined = _brackets(lhs, w_grid, l, n)
     rising = np.broadcast_to(rising, l.shape)
     bracketed = set(level.tolist())
     out = {i: _rootless(settings, rising[k], defined[k])
@@ -607,7 +610,7 @@ def _solve_batch(dim, potential, settings, levels) -> dict:
     if lanes.any():
         tol = max(settings.root_tol, 2.0 * sys.float_info.epsilon)
         roots[lanes] = _polish_roots(
-            dim, _lanes(potential, lanes), l[lanes], n[lanes], roots[lanes],
+            _lanes(potential, lanes), l[lanes], n[lanes], roots[lanes],
             grid[cell[lanes] + 1], f_lo[lanes], f_hi[lanes], tol)
 
     # one jet at every root: the frequency, the exact-curvature minimum
@@ -619,7 +622,7 @@ def _solve_batch(dim, potential, settings, levels) -> dict:
               for c in potential.eval_jet(roots).coeffs]
     w = _frequency(roots, coeffs[1], coeffs[2])
     ok &= ~np.isnan(w)
-    lbar = l - beta_shift(dim, n, w)
+    lbar = l - _shift(n, w)
     is_min = (lbar > 0) & (6.0 * lbar**2 / roots**4 + 2.0 * coeffs[2] > 0)
     e0 = lbar**2 / roots**2 + coeffs[0]
 
@@ -638,9 +641,10 @@ def _solve_batch(dim, potential, settings, levels) -> dict:
         return out
 
     chosen = np.array(chosen)
-    terms = _energy_terms(dim, l[chosen], n[chosen], roots[chosen],
+    terms = _energy_terms(l[chosen], n[chosen], roots[chosen],
                           Jet(c[chosen] for c in coeffs), w[chosen],
                           settings.term_order)
+    terms["beta"] += (3 - dim) / 2
     # one flat list of columns; each field takes one, each tuple its width
     layout, columns = [], []
     for t in terms.values():
@@ -704,7 +708,7 @@ def solve_levels(dim: int, potential: Potential, levels,
             try:
                 with np.errstate(all="ignore"):
                     batch = _solve_batch(dim, block, settings, [
-                        (i, i if lanes else 0, p.l, p.n_radial)
+                        (i, i if lanes else 0, p.l_eff, p.n_radial)
                         for i, p in problems.items()])
             except (SletError, ArithmeticError):
                 batch = {}

@@ -58,6 +58,13 @@ def test_shift_examples():
     assert engine.beta_shift(2, 0, 4.0) == -1.0
     assert engine.beta_shift(3, 2, 2.0) == -3.0
     assert np.allclose(engine.beta_shift(3, 0, np.array([2.0, 4.0])), [-1.0, -1.5])
+    # the 2D shift is the 3D one plus 1/2
+    for n in (1, 2):
+        for w in (2.0, 3.0):
+            assert engine.beta_shift(2, n, w) == engine.beta_shift(3, n, w) + 0.5
+    for dim in (0, 4):
+        with pytest.raises(ValueError, match="dim must be 2 or 3"):
+            engine.beta_shift(dim, 0, 2.0)
 
 
 # -- expansion point -------------------------------------------------------
@@ -129,6 +136,40 @@ def test_coefficient_table_2d_zero_shift():
     assert dlt[2] == 0.0 and dlt[3] == 0.0
     assert dlt[0] == pytest.approx(0.5)
     assert dlt[1] == pytest.approx(-0.75)
+    for dim in (0, 7):
+        with pytest.raises(ValueError, match="dim must be 2 or 3"):
+            engine.appendix_coeffs(dim, 0.0, 1.0, 1.0, jet, 2.0)
+
+
+@pytest.mark.parametrize("pot, l, n", [
+    (potentials.donor(0.5, -1), 1, 1),
+    (potentials.expression("r^2/4 + 0.5*sin(3*r)"), 1, 1),
+    (potentials.power(2.0, 0.5), 0, 1),
+    (potentials.log_potential(1.0, 0.5), 2, 0),
+])
+def test_2d_levels_match_the_papers_2d_formulas(pot, l, n):
+    # the engine solves a 2D level as the 3D level at l - 1/2; the paper's
+    # own 2D coefficients, recomputed from each breakdown's r0, w, beta and
+    # Q, must agree with it, on the scalar and the batch path
+    problem = SletProblem(2, l, n, pot)
+    (batch,) = engine.solve_levels(2, pot, [(l, n)], SolverSettings())
+    for b in (engine.solve(problem), batch):
+        beta, r0, Q = b.beta, b.r0, b.Q
+        c = pot.eval_jet(r0).coeffs
+        bb = beta * beta - 0.25
+        eps = (-4.0 * beta, 6.0 * beta, -4.0 + r0**5 * c[3] / Q,
+               5.0 + r0**6 * c[4] / Q)
+        dlt = (-2.0 * bb, 3.0 * bb, -8.0 * beta, 10.0 * beta,
+               -6.0 + r0**7 * c[5] / Q, 7.0 + r0**8 * c[6] / Q)
+        e = tuple(eps[j] / b.w ** ((j + 1) / 2) for j in range(4))
+        e2 = (bb + engine.alpha1(n, b.w, e)) / r0**2
+        assert b.beta == pytest.approx(-(n + 0.5) * b.w / 2.0, rel=1e-12)
+        assert b.lbar == pytest.approx(l - beta, rel=1e-12)
+        assert b.lbar == pytest.approx(math.sqrt(r0**3 * c[1] / 2.0), rel=1e-10)
+        assert b.eps == pytest.approx(eps, rel=1e-12, abs=1e-14)
+        assert b.dlt == pytest.approx(dlt, rel=1e-12, abs=1e-14)
+        assert b.E2_over_lbar2 == pytest.approx(e2, rel=1e-12, abs=1e-14)
+        assert b.E1 == pytest.approx(0.0, abs=1e-14 * abs(b.E0))
 
 
 def test_alpha1_examples():
