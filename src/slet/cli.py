@@ -14,8 +14,9 @@ cannot be written), 3 computation failure.
 
 `spectrum` and `sweep` make one engine.solve_levels call, which solves the
 levels in blocks of at most 256: a spectrum's levels share one potential,
-and a sweep's rows are the lanes of one donor over its gamma grid. `solve`
-and `validate` solve one level per engine.solve call.
+and a sweep's rows are the lanes of one donor over its gamma grid; its
+columns and errors become the rows. `solve` and `validate` solve one
+level per engine.solve call.
 
 Timestamps live only in a header line (or the "generated" JSON key) so that
 --no-header yields byte-identical payloads across identical invocations.
@@ -36,8 +37,10 @@ from .errors import SletError
 
 _TERM_BY_FLAG = {0: engine.TERM_E0, 2: engine.TERM_E2, 3: engine.TERM_E3}
 
-_SOLVE_COLS = ("l", "nr", "r0", "w", "beta", "lbar",
-               "E0", "E2term", "E3term", "E_total")
+# the output column of each engine.LEVEL_FIELDS entry, in its order
+_LEVEL_COLS = dict(zip(("r0", "w", "beta", "lbar", "E0", "E2term", "E3term",
+                        "E_total"), engine.LEVEL_FIELDS))
+_SOLVE_COLS = ("l", "nr", *_LEVEL_COLS)
 _SWEEP_COLS = ("gamma", "E_total", "E0", "E2term", "E3term")
 _VALIDATE_COLS = ("E_slet", "E_oracle", "E_oracle_refined",
                   "E_oracle_extrapolated", "box_shift", "converged",
@@ -162,9 +165,9 @@ def _parse_gamma_grid(text: str):
 def _render(args, argv, columns, rows, payload, lines) -> None:
     """Write a run's result in --format to --out or stdout.
 
-    `rows` are raw-valued dicts holding every key in `columns`. JSON shows
-    `payload`, or else the rows; the table shows `lines`, or else the rows
-    aligned in columns.
+    `rows` are sequences of raw values in the order of `columns`. JSON
+    shows `payload`, or else the rows; the table shows `lines`, or else
+    the rows aligned in columns.
     """
     ts = datetime.now(timezone.utc).isoformat()
     header = [] if args.no_header else [f"# generated {ts} slet {__version__}"]
@@ -173,17 +176,17 @@ def _render(args, argv, columns, rows, payload, lines) -> None:
             "generated": {"timestamp": ts, "version": __version__}}
         doc["command"] = list(argv)
         doc.update(payload if payload is not None else
-                   {"rows": [{c: row[c] for c in columns} for row in rows]})
+                   {"rows": [dict(zip(columns, row)) for row in rows]})
         text = json.dumps(doc, indent=2) + "\n"
     elif args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(columns)
-        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
         text = "".join(h + "\r\n" for h in header) + buf.getvalue()
     else:
         if lines is None:
-            cells = [[_fmt(row[c]) for c in columns] for row in rows]
+            cells = [[_fmt(v) for v in row] for row in rows]
             widths = [max([len(c)] + [len(r[i]) for r in cells])
                       for i, c in enumerate(columns)]
             lines = ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip()
@@ -199,20 +202,16 @@ def _render(args, argv, columns, rows, payload, lines) -> None:
         raise _UsageError(f"cannot write output file: {exc}") from None
 
 
-def _level_cells(bd: engine.SletBreakdown) -> dict:
-    return {"r0": bd.r0, "w": bd.w, "beta": bd.beta, "lbar": bd.lbar,
-            "E0": bd.E0, "E2term": bd.E2_over_lbar2,
-            "E3term": bd.E3_over_lbar3, "E_total": bd.E_total}
-
-
-def _level_rows(columns, keys, results) -> list:
-    """One row per key dict and its level's result. A level that failed
-    (its result is the exception) becomes a row whose `error` column holds
-    the message, and the run goes on."""
-    return [{**key, **_level_cells(res), "error": ""}
-            if isinstance(res, engine.SletBreakdown)
-            else {**dict.fromkeys(columns), **key, "error": str(res)}
-            for key, res in zip(keys, results)]
+def _solved_rows(keys, cols, solved) -> list:
+    """Rows of each level's key cells, its output columns `cols` and its
+    error text, from the (columns, errors) that engine.solve_levels gives.
+    A level that failed has empty cells and its message, and the run goes
+    on."""
+    columns, errors = solved
+    values = zip(*(columns[_LEVEL_COLS[c]].tolist() for c in cols))
+    blank = (None,) * len(cols)
+    return [(*key, *cells, "") if err is None else (*key, *blank, str(err))
+            for key, cells, err in zip(keys, values, errors)]
 
 
 def _record(args, settings, bd, res) -> dict:
@@ -269,7 +268,7 @@ def _cmd_solve(args, argv) -> int:
         "candidates " + "; ".join(
             f"r0={_fmt(r)} E0={_fmt(e0)}" for r, e0 in bd.candidates),
     ]
-    row = {"l": args.l, "nr": args.nr, **_level_cells(bd)}
+    row = (args.l, args.nr, *(getattr(bd, f) for f in engine.LEVEL_FIELDS))
     _render(args, argv, _SOLVE_COLS, [row], record, lines)
     return 0
 
@@ -283,12 +282,11 @@ def _cmd_spectrum(args, argv) -> int:
                           f"levels")
     settings = _settings_from(args)
     pot = _potential_from(args.potential, args.param)
-    columns = _SOLVE_COLS + ("error",)
     levels = [(l, nr) for l in range(l_lo, l_hi + 1)
               for nr in range(n_lo, n_hi + 1)]
-    rows = _level_rows(columns, [{"l": l, "nr": nr} for l, nr in levels],
-                       engine.solve_levels(args.dim, pot, levels, settings))
-    _render(args, argv, columns, rows, None, None)
+    rows = _solved_rows(levels, _LEVEL_COLS,
+                        engine.solve_levels(args.dim, pot, levels, settings))
+    _render(args, argv, _SOLVE_COLS + ("error",), rows, None, None)
     return 0
 
 
@@ -304,11 +302,10 @@ def _cmd_sweep(args, argv) -> int:
         pot = potentials.donor(grid, args.m)
     except SletError as exc:  # an m beyond the float range
         raise _UsageError(str(exc)) from None
-    columns = _SWEEP_COLS + ("error",)
-    results = engine.solve_levels(2, pot, [(abs(args.m), args.nr)] * len(grid),
-                                  settings)
-    rows = _level_rows(columns, [{"gamma": g} for g in grid], results)
-    _render(args, argv, columns, rows, None, None)
+    solved = engine.solve_levels(2, pot, [(abs(args.m), args.nr)] * len(grid),
+                                 settings)
+    rows = _solved_rows([(g,) for g in grid], _SWEEP_COLS[1:], solved)
+    _render(args, argv, _SWEEP_COLS + ("error",), rows, None, None)
     return 0
 
 
@@ -350,17 +347,17 @@ def _cmd_validate(args, argv) -> int:
 
     payload = {**_record(args, settings, bd, res), "comparison": comparison,
                "errors": {"slet": err_slet, "oracle": err_oracle}}
-    row = {
-        "E_slet": bd and bd.E_total,
-        "E_oracle": res and res.energy,
-        "E_oracle_refined": res and res.energy_refined,
-        "E_oracle_extrapolated": res and res.energy_extrapolated,
-        "box_shift": res and res.box_shift,
-        "converged": res and str(res.converged).lower(),
-        "abs_diff": comparison and comparison["abs_diff"],
-        "rel_diff": comparison and comparison["rel_diff"],
-        "error": "; ".join(e for e in (err_slet, err_oracle) if e),
-    }
+    row = (  # in the order of _VALIDATE_COLS
+        bd and bd.E_total,
+        res and res.energy,
+        res and res.energy_refined,
+        res and res.energy_extrapolated,
+        res and res.box_shift,
+        res and str(res.converged).lower(),
+        comparison and comparison["abs_diff"],
+        comparison and comparison["rel_diff"],
+        "; ".join(e for e in (err_slet, err_oracle) if e),
+    )
     lines = []
     if bd is not None:
         lines.append(f"SLET E_total         {_fmt(bd.E_total)}")

@@ -25,9 +25,10 @@ own l, n and parameters (an array parameter holds one entry per level): F
 depends on (l, n) only through l and the linear beta(n, w), so one scan
 jet, a row per parameter row, serves every level; one array jet per
 Newton pass steps every (level, bracket) pair; the energy assembly
-(_energy_terms, shared with solve) runs elementwise. A level the batch
-cannot settle falls back to solve(), which keeps its outcome and error
-text. A `spectrum` is the one-row case; a `sweep` a donor over gammas.
+(_energy_terms, shared with solve) runs elementwise and gives the levels'
+LEVEL_FIELDS as columns. A level the batch cannot settle falls back to
+solve(), which keeps its outcome and error text. A `spectrum` is the
+one-row case; a `sweep` a donor over gammas.
 
 All arithmetic is plain 64-bit floating point.
 """
@@ -53,6 +54,12 @@ TERM_E0 = "E0_only"
 TERM_E2 = "through_E2"
 TERM_E3 = "through_E3"
 TERM_ORDERS = (TERM_E0, TERM_E2, TERM_E3)
+
+# the SletBreakdown fields that solve_levels gives as columns
+LEVEL_FIELDS = ("r0", "w", "beta", "lbar", "E0", "E2_over_lbar2",
+                "E3_over_lbar3", "E_total")
+# the energies a level needs finite; every other field feeds one of them
+_ENERGIES = ("E0", "E1", "E2_over_lbar2", "E3_over_lbar3", "E_total")
 
 # levels solved as one batch. An array of the batch search holds 256 x 400
 # scan points x 8 bytes, 0.8 MB, and about five are alive at its peak.
@@ -294,12 +301,6 @@ def _rootless(settings: SolverSettings, rising, defined) -> SletError:
         f"bracket window or increase scan_points")
 
 
-def _lowest(candidates) -> int:
-    """Index of the (r0, E0) candidate with the lowest E0; the first of
-    equal ones wins."""
-    return min(range(len(candidates)), key=lambda k: candidates[k][1])
-
-
 class _ExpansionPoint(tuple):
     """The (r0, candidates) pair solve_r0 returns. Its `jet` attribute is
     the potential's jet at r0, made for the minimum test, which solve()
@@ -351,7 +352,8 @@ def solve_r0(problem: SletProblem):
             "every root of the expansion-point equation sits on a maximum "
             "of the effective energy; no stable expansion point")
 
-    best = _lowest(candidates)
+    # the lowest E0; the first of equal ones wins
+    best = min(range(len(candidates)), key=lambda k: candidates[k][1])
     found = _ExpansionPoint((candidates[best][0], candidates))
     found.jet = jets_there[best]
     return found
@@ -476,7 +478,7 @@ def solve(problem: SletProblem) -> SletBreakdown:
     terms = _energy_terms(problem.l_eff, problem.n_radial, r0, jet,
                           _omega(jet, r0), problem.solver.term_order)
     terms["beta"] += (3 - problem.dim) / 2
-    for name in ("E0", "E1", "E2_over_lbar2", "E3_over_lbar3", "E_total"):
+    for name in _ENERGIES:
         if not math.isfinite(terms[name]):
             raise InvalidExpansionPointError(
                 f"{name} = {terms[name]} at r0 = {r0}; the energy is not finite")
@@ -578,14 +580,16 @@ def _brackets(lhs, w, l, n):
     return (*(np.concatenate(a) for a in (level, cell, f_lo, f_hi)), defined)
 
 
-def _solve_batch(dim, potential, settings, levels) -> dict:
-    """{index: SletBreakdown or SletError} of the (index, row, l_eff, n)
-    levels that the batch search settles; dim sets only the reported beta.
-    `potential` holds one entry per row in each array parameter; a level
-    takes its row's. A level without a bracket gets the scalar search's
-    error at once, the scan's NoBoundStateError among them. A level is
-    left out when a lane of it hit a point where F cannot be evaluated, or
-    it has no admissible minimum, or one of its energy terms is not finite."""
+def _solve_batch(dim, potential, settings, levels):
+    """One batch search over the (index, row, l_eff, n) levels. Returns
+    {index: SletError} of the levels without a bracket, the indices of the
+    levels it solves, and their LEVEL_FIELDS as {field: array} in the
+    order of those indices; dim sets only the reported beta. `potential`
+    holds one entry per row in each array parameter; a level takes its
+    row's. A level without a bracket gets the scalar search's error at
+    once, the scan's NoBoundStateError among them. A level is left out
+    when a lane of it hit a point where F cannot be evaluated, or it has
+    no admissible minimum, or one of its _ENERGIES is not finite."""
     index, row, l, n = zip(*levels)
     l, n = np.array(l, dtype=float), np.array(n, dtype=float)
     # each level's own lane; a potential without lanes stays as it is, and
@@ -598,12 +602,11 @@ def _solve_batch(dim, potential, settings, levels) -> dict:
     level, cell, f_lo, f_hi, defined = _brackets(lhs, w_grid, l, n)
     rising = np.broadcast_to(rising, l.shape)
     bracketed = set(level.tolist())
-    out = {i: _rootless(settings, rising[k], defined[k])
-           for k, i in enumerate(index) if k not in bracketed}
+    errors = {i: _rootless(settings, rising[k], defined[k])
+              for k, i in enumerate(index) if k not in bracketed}
     if not level.size:
-        return out
+        return errors, np.empty(0, dtype=int), {}
 
-    owner = [index[k] for k in level.tolist()]
     l, n, potential = l[level], n[level], _lanes(potential, level)
     roots = grid[cell]
     lanes = f_lo != 0.0
@@ -626,51 +629,33 @@ def _solve_batch(dim, potential, settings, levels) -> dict:
     is_min = (lbar > 0) & (6.0 * lbar**2 / roots**4 + 2.0 * coeffs[2] > 0)
     e0 = lbar**2 / roots**2 + coeffs[0]
 
-    slots = {}
-    for s, i in enumerate(owner):
-        slots.setdefault(i, []).append(s)
-    ok, is_min = ok.tolist(), is_min.tolist()
-    r_list, e0_list = roots.tolist(), e0.tolist()
-    chosen, candidates = [], {}
-    for i, mine in slots.items():
-        admissible = [s for s in mine if is_min[s]]
-        if all(ok[s] for s in mine) and admissible:
-            candidates[i] = [(r_list[s], e0_list[s]) for s in admissible]
-            chosen.append(admissible[_lowest(candidates[i])])
-    if not chosen:
-        return out
-
-    chosen = np.array(chosen)
+    # per level, the admissible root of lowest E0, the first of equal ones
+    # in search order, as in solve_r0 (the sort is stable); none where a
+    # root of the level could not be evaluated
+    order = np.lexsort((np.where(is_min, e0, np.inf), level))
+    chosen = order[np.r_[True, np.diff(level[order]) != 0]]
+    broken = np.zeros(len(index), dtype=bool)
+    broken[level[~ok]] = True
+    chosen = chosen[is_min[chosen] & ~broken[level[chosen]]]
     terms = _energy_terms(l[chosen], n[chosen], roots[chosen],
                           Jet(c[chosen] for c in coeffs), w[chosen],
                           settings.term_order)
     terms["beta"] += (3 - dim) / 2
-    # one flat list of columns; each field takes one, each tuple its width
-    layout, columns = [], []
-    for t in terms.values():
-        layout.append((len(columns), len(t) if isinstance(t, tuple) else 0))
-        columns += t if isinstance(t, tuple) else (t,)
-    finite = np.logical_and.reduce([np.isfinite(c) for c in columns])
-    for s, ok_j, row in zip(chosen.tolist(), finite.tolist(),
-                            zip(*(c.tolist() for c in columns))):
-        if ok_j:
-            fields = [row[a:a + k] if k else row[a] for a, k in layout]
-            out[owner[s]] = SletBreakdown(
-                **dict(zip(terms, fields)),
-                candidates=tuple(candidates[owner[s]]))
-    return out
+    good = np.logical_and.reduce([np.isfinite(terms[k]) for k in _ENERGIES])
+    return (errors, np.array(index)[level[chosen[good]]],
+            {f: terms[f][good] for f in LEVEL_FIELDS})
 
 
 def solve_levels(dim: int, potential: Potential, levels,
-                 settings: SolverSettings) -> list:
-    """solve() for every (l, n_radial) pair of `levels`.
+                 settings: SolverSettings) -> tuple:
+    """solve() for every (l, n_radial) pair of `levels`, as columns.
 
     `potential` serves every level. A parameter it holds as a 1-D array
     has one entry per level, as in a sweep's donor over an array of
     gammas, and the batch search runs on these lanes; an array of any
     other shape is a ValueError. The levels are solved in blocks of
-    _BLOCK_LEVELS, each with its slice of the array parameters, so memory
-    stays bounded however many levels there are.
+    _BLOCK_LEVELS, each with its slice of the array parameters, so the
+    search's memory stays bounded however many levels there are.
 
     The scan is one order-6 jet on its grid, with a row per parameter
     row. A guarded Newton steps every (level, bracket) pair at once, with
@@ -679,14 +664,15 @@ def solve_levels(dim: int, potential: Potential, levels,
     error and that of a level without a bracket are the scalar search's
     and need no second scan. A level the batch does not settle otherwise
     (no admissible minimum, a point where F cannot be evaluated, an energy
-    term that is not finite) is solved again by the scalar solve() with
-    its own parameters, so that its outcome and its error text are the
-    scalar path's. The results agree with solve() to within a few units in
-    the last place, since numpy's and the C library's pow may round apart.
+    that is not finite) is solved again by the scalar solve() with its
+    own parameters, so that its outcome and its error text are the scalar
+    path's. The results agree with solve() to within a few units in the
+    last place, since numpy's and the C library's pow may round apart.
 
-    Each entry is the level's SletBreakdown, or the SletError solve()
-    raises for it, or the ValueError SletProblem raises for a level it
-    rejects.
+    Returns (columns, errors). `columns` maps each of LEVEL_FIELDS to a
+    float array with one entry per level, nan where the level failed.
+    errors[i] is None, or the SletError solve() raises for level i, or
+    the ValueError SletProblem raises for a level it rejects.
     """
     lanes = {k: v.shape for k, v in potential.params.items()
              if isinstance(v, np.ndarray)}
@@ -694,29 +680,36 @@ def solve_levels(dim: int, potential: Potential, levels,
         if shape != (len(levels),):
             raise ValueError(f"parameter {k} holds {shape} entries for "
                              f"{len(levels)} levels")
-    results = []
+    columns = {f: np.full(len(levels), np.nan) for f in LEVEL_FIELDS}
+    errors = [None] * len(levels)
     for start in range(0, len(levels), _BLOCK_LEVELS):
         chunk = levels[start:start + _BLOCK_LEVELS]
         block = _lanes(potential, slice(start, start + len(chunk)))
-        out, problems, batch = [None] * len(chunk), {}, {}
+        problems = {}
         for i, (l, n) in enumerate(chunk):
             try:  # checks l and n; only solve() needs a lane of its own
                 problems[i] = SletProblem(dim, l, n, block, settings)
             except ValueError as exc:
-                out[i] = exc
+                errors[start + i] = exc
+        bad, done, cols = {}, np.empty(0, dtype=int), {}
         if problems:
             try:
                 with np.errstate(all="ignore"):
-                    batch = _solve_batch(dim, block, settings, [
+                    bad, done, cols = _solve_batch(dim, block, settings, [
                         (i, i if lanes else 0, p.l_eff, p.n_radial)
                         for i, p in problems.items()])
             except (SletError, ArithmeticError):
-                batch = {}
-        for i, problem in problems.items():
+                pass  # every level of the block goes to solve()
+        for f, col in cols.items():
+            columns[f][start + done] = col
+        for i, exc in bad.items():
+            errors[start + i] = exc
+        for i in sorted(problems.keys() - bad.keys() - set(done.tolist())):
             try:
-                out[i] = batch[i] if i in batch else solve(
-                    replace(problem, potential=_lanes(block, i)))
+                bd = solve(replace(problems[i], potential=_lanes(block, i)))
             except SletError as exc:
-                out[i] = exc
-        results += out
-    return results
+                errors[start + i] = exc
+                continue
+            for f in LEVEL_FIELDS:
+                columns[f][start + i] = getattr(bd, f)
+    return columns, errors

@@ -83,6 +83,11 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """The k-th level on the N-point and h/2 grids, and its move in the
+    box about 1.5x larger (box_shift). The larger box's search window is
+    centred on `energy`, with a probe on the centre, so a box effect below
+    the search's resolution reads +-0.45 eig_tol/4 (+-1.125e-6 at eig_tol
+    1e-5): that floor is the search's resolution, not a measured effect."""
     k: int
     energy: float
     energy_refined: float

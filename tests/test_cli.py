@@ -439,6 +439,33 @@ def test_spectrum_records_per_row_failures(capsys, tmp_path):
         assert row[columns.index("E_total")] == ""
 
 
+def test_spectrum_rows_rejected_by_the_problem(capsys):
+    # a 2D donor needs l = |m|: the other rows carry SletProblem's error,
+    # with empty csv cells and null json cells, and the run goes on
+    argv = ("spectrum", "--dim", "2", "--potential", "donor",
+            "--param", "gamma=1", "--param", "m=-1", "--l-range", "0..2",
+            "--nr-range", "0..0", "--no-header")
+    want = engine.solve(engine.SletProblem(2, 1, 0, potentials.donor(1.0, -1)))
+    rc, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert rc == 0 and err == ""
+    _, columns, rows = read_csv(out)
+    assert columns == [*cli._SOLVE_COLS, "error"]
+    for l, row in zip((0, 2), (rows[0], rows[2])):
+        assert row == [str(l), "0"] + [""] * 8 + [
+            f"2D donor requires l = |m|; got l={l}, m=-1"]
+    assert rows[1][-1] == ""
+    assert float(rows[1][columns.index("E_total")]) == pytest.approx(
+        want.E_total, rel=1e-13)
+    rc, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0 and err == ""
+    payload = json.loads(out)["rows"]
+    for l, row in zip((0, 2), (payload[0], payload[2])):
+        assert row == {"l": l, "nr": 0, **dict.fromkeys(cli._SOLVE_COLS[2:]),
+                       "error": f"2D donor requires l = |m|; got l={l}, m=-1"}
+    assert payload[1]["error"] == ""
+    assert payload[1]["E_total"] == pytest.approx(want.E_total, rel=1e-13)
+
+
 def test_spectrum_does_not_import_numpy_ma(tmp_path):
     # numpy.ma is imported lazily, by np.unique among others, and costs
     # about 1.7 MB of peak RSS on its own

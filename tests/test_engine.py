@@ -149,27 +149,38 @@ def test_coefficient_table_2d_zero_shift():
 ])
 def test_2d_levels_match_the_papers_2d_formulas(pot, l, n):
     # the engine solves a 2D level as the 3D level at l - 1/2; the paper's
-    # own 2D coefficients, recomputed from each breakdown's r0, w, beta and
-    # Q, must agree with it, on the scalar and the batch path
-    problem = SletProblem(2, l, n, pot)
-    (batch,) = engine.solve_levels(2, pot, [(l, n)], SolverSettings())
-    for b in (engine.solve(problem), batch):
-        beta, r0, Q = b.beta, b.r0, b.Q
+    # own 2D coefficients, recomputed from each level's r0, w, beta and Q,
+    # must agree with it, on the scalar and the batch path
+    def papers_2d(beta, r0, w, Q):
+        """The paper's 2D eps, dlt and E2_over_lbar2 at this point."""
         c = pot.eval_jet(r0).coeffs
         bb = beta * beta - 0.25
         eps = (-4.0 * beta, 6.0 * beta, -4.0 + r0**5 * c[3] / Q,
                5.0 + r0**6 * c[4] / Q)
         dlt = (-2.0 * bb, 3.0 * bb, -8.0 * beta, 10.0 * beta,
                -6.0 + r0**7 * c[5] / Q, 7.0 + r0**8 * c[6] / Q)
-        e = tuple(eps[j] / b.w ** ((j + 1) / 2) for j in range(4))
-        e2 = (bb + engine.alpha1(n, b.w, e)) / r0**2
-        assert b.beta == pytest.approx(-(n + 0.5) * b.w / 2.0, rel=1e-12)
-        assert b.lbar == pytest.approx(l - beta, rel=1e-12)
-        assert b.lbar == pytest.approx(math.sqrt(r0**3 * c[1] / 2.0), rel=1e-10)
-        assert b.eps == pytest.approx(eps, rel=1e-12, abs=1e-14)
-        assert b.dlt == pytest.approx(dlt, rel=1e-12, abs=1e-14)
-        assert b.E2_over_lbar2 == pytest.approx(e2, rel=1e-12, abs=1e-14)
-        assert b.E1 == pytest.approx(0.0, abs=1e-14 * abs(b.E0))
+        e = tuple(eps[j] / w ** ((j + 1) / 2) for j in range(4))
+        return eps, dlt, (bb + engine.alpha1(n, w, e)) / r0**2
+
+    scalar = engine.solve(SletProblem(2, l, n, pot))
+    columns, errors = engine.solve_levels(2, pot, [(l, n)], SolverSettings())
+    assert errors == [None]
+    batch = {f: columns[f][0] for f in engine.LEVEL_FIELDS}
+    for b in (vars(scalar), batch):
+        beta, r0, w, lbar = b["beta"], b["r0"], b["w"], b["lbar"]
+        c1 = pot.eval_jet(r0).coeffs[1]
+        assert beta == pytest.approx(-(n + 0.5) * w / 2.0, rel=1e-12)
+        assert lbar == pytest.approx(l - beta, rel=1e-12)
+        assert lbar == pytest.approx(math.sqrt(r0**3 * c1 / 2.0), rel=1e-10)
+    eps, dlt, e2 = papers_2d(scalar.beta, scalar.r0, scalar.w, scalar.Q)
+    assert scalar.eps == pytest.approx(eps, rel=1e-12, abs=1e-14)
+    assert scalar.dlt == pytest.approx(dlt, rel=1e-12, abs=1e-14)
+    assert scalar.E2_over_lbar2 == pytest.approx(e2, rel=1e-12, abs=1e-14)
+    assert scalar.E1 == pytest.approx(0.0, abs=1e-14 * abs(scalar.E0))
+    # the batch gives no Q; Q = lbar^2 there
+    *_, e2 = papers_2d(batch["beta"], batch["r0"], batch["w"],
+                       batch["lbar"] ** 2)
+    assert batch["E2_over_lbar2"] == pytest.approx(e2, rel=1e-12, abs=1e-14)
 
 
 def test_alpha1_examples():
@@ -543,30 +554,30 @@ _LEVELS = [(l, n) for l in range(10) for n in range(10)]
 
 
 def _assert_matches_scalar(batch, dim, pot, levels, solver):
-    """Each batch result against engine.solve of the same level: breakdowns
-    within the stated tolerances, failures with the same type and text.
-    `pot` is every level's potential, or a list of each level's own."""
-    assert len(batch) == len(levels)
+    """The (columns, errors) of solve_levels against engine.solve of each
+    level: the level's columns within the stated tolerances, or, where it
+    fails, the same error type and text and nan in every column. `pot` is
+    every level's potential, or a list of each level's own."""
+    columns, errors = batch
+    assert tuple(columns) == engine.LEVEL_FIELDS
+    assert all(c.shape == (len(levels),) for c in columns.values())
+    assert len(errors) == len(levels)
     pots = pot if isinstance(pot, list) else [pot] * len(levels)
-    for got, (l, n), pot in zip(batch, levels, pots):
+    for k, ((l, n), pot) in enumerate(zip(levels, pots)):
+        got, err = {f: c[k] for f, c in columns.items()}, errors[k]
         try:
             want = engine.solve(SletProblem(dim, l, n, pot, solver))
         except (SletError, ValueError) as exc:
-            assert type(got) is type(exc) and str(got) == str(exc), (l, n)
+            assert type(err) is type(exc) and str(err) == str(exc), (l, n)
+            assert all(math.isnan(v) for v in got.values()), (l, n)
             continue
-        assert isinstance(got, engine.SletBreakdown), (l, n, got)
+        assert err is None, (l, n, err)
         for name in ("r0", "w", "beta", "lbar", "E0"):
-            assert getattr(got, name) == pytest.approx(
+            assert got[name] == pytest.approx(
                 getattr(want, name), rel=1e-14, abs=0.0), (name, l, n)
         scale = 1e-13 * max(abs(want.E_total), 1.0)
         for name in ("E2_over_lbar2", "E3_over_lbar3", "E_total"):
-            assert abs(getattr(got, name) - getattr(want, name)) <= scale, \
-                (name, l, n)
-        assert len(got.candidates) == len(want.candidates), (l, n)
-        for (r_got, e_got), (r_want, e_want) in zip(got.candidates,
-                                                    want.candidates):
-            assert r_got == pytest.approx(r_want, rel=1e-14, abs=0.0)
-            assert e_got == pytest.approx(e_want, rel=1e-14, abs=1e-14)
+            assert abs(got[name] - getattr(want, name)) <= scale, (name, l, n)
 
 
 _BATCH_POTENTIALS = {
@@ -577,7 +588,7 @@ _BATCH_POTENTIALS = {
     "expression": potentials.expression("exp(r/10) - 1 + A*r",
                                         {"A": 0.2}),
     # two admissible minima on a third of the levels, the lowest E0 at
-    # either: the candidate order and the lowest-E0 choice
+    # either: the lowest-E0 choice, seen in r0 and E0
     "wells": potentials.expression("r^2 + 30*exp(-10*(r - 1.5)^2)"),
 }
 
@@ -602,8 +613,8 @@ def test_solve_levels_settles_regular_levels_in_the_batch(monkeypatch):
     for dim, pot in [(3, potentials.power(1.3, 1.7)),
                      (2, potentials.coulomb()),
                      (3, _BATCH_POTENTIALS["expression"])]:
-        batch = engine.solve_levels(dim, pot, _LEVELS, SolverSettings())
-        assert all(isinstance(b, engine.SletBreakdown) for b in batch)
+        _, errors = engine.solve_levels(dim, pot, _LEVELS, SolverSettings())
+        assert all(e is None for e in errors)
 
 
 def test_solve_levels_narrow_window_keeps_the_scalar_errors(monkeypatch):
@@ -619,8 +630,9 @@ def test_solve_levels_narrow_window_keeps_the_scalar_errors(monkeypatch):
                         lambda p: scalar.append((p.l, p.n_radial)) or solve(p))
     batch = engine.solve_levels(3, pot, levels, solver)
     assert scalar == []
-    assert isinstance(batch[0], engine.SletBreakdown) and batch[0].r0 == 1.0
-    assert all(isinstance(b, NoRootError) for b in batch[1:])
+    columns, errors = batch
+    assert errors[0] is None and columns["r0"][0] == 1.0
+    assert all(isinstance(e, NoRootError) for e in errors[1:])
     monkeypatch.undo()
     _assert_matches_scalar(batch, 3, pot, levels, solver)
 
@@ -636,7 +648,7 @@ def test_solve_levels_gives_rootless_levels_the_scalar_error(monkeypatch,
     solve = engine.solve
     monkeypatch.setattr(engine, "solve", lambda p: pytest.fail("scalar path"))
     batch = engine.solve_levels(3, pot, _LEVELS, SolverSettings())
-    assert all(type(b) is error for b in batch)
+    assert all(type(e) is error for e in batch[1])
     monkeypatch.setattr(engine, "solve", solve)
     _assert_matches_scalar(batch, 3, pot, _LEVELS, SolverSettings())
 
@@ -653,7 +665,7 @@ def test_non_finite_energy_raises(src):
 def test_solve_levels_without_any_bracket():
     pot = potentials.expression("ln(r - 20)")
     batch = engine.solve_levels(3, pot, _LEVELS, SolverSettings())
-    assert all(isinstance(b, SletError) for b in batch)
+    assert all(isinstance(e, SletError) for e in batch[1])
     _assert_matches_scalar(batch, 3, pot, _LEVELS, SolverSettings())
 
 
@@ -664,21 +676,22 @@ def test_solve_levels_where_a_lane_cannot_be_evaluated():
     pot = potentials.expression(f"r^2 + 1e-6*sqrt((r - {c!r})^2 - 1e-4)")
     levels = [(0, 0), (3, 1)]
     batch = engine.solve_levels(3, pot, levels, SolverSettings())
-    assert isinstance(batch[0], InvalidExpansionPointError)
+    assert isinstance(batch[1][0], InvalidExpansionPointError)
     _assert_matches_scalar(batch, 3, pot, levels, SolverSettings())
 
 
 def test_solve_levels_empty_single_and_rejected():
     pot = potentials.power(1.3, 1.7)
-    assert engine.solve_levels(3, pot, [], SolverSettings()) == []
+    columns, errors = engine.solve_levels(3, pot, [], SolverSettings())
+    assert errors == [] and tuple(columns) == engine.LEVEL_FIELDS
+    assert all(c.shape == (0,) for c in columns.values())
     one = engine.solve_levels(3, pot, [(4, 2)], SolverSettings())
     _assert_matches_scalar(one, 3, pot, [(4, 2)], SolverSettings())
     # a 2D donor needs l = |m|; the other levels carry SletProblem's error
     donor = potentials.donor(1.0, -1)
     levels = [(0, 0), (1, 0), (2, 1), (1, 2)]
     batch = engine.solve_levels(2, donor, levels, SolverSettings())
-    assert [type(b) for b in batch] == [ValueError, engine.SletBreakdown,
-                                        ValueError, engine.SletBreakdown]
+    assert [type(e) for e in batch[1]] == [ValueError, type(None)] * 2
     _assert_matches_scalar(batch, 2, donor, levels, SolverSettings())
 
 
@@ -723,8 +736,8 @@ def test_sweep_rows_are_settled_in_the_batch(monkeypatch):
     monkeypatch.setattr(engine, "solve", refuse)
     for m, nr in [(-3, 2), (0, 0), (2, 1)]:
         lanes, levels, _ = _sweep(m, nr)
-        batch = engine.solve_levels(2, lanes, levels, SolverSettings())
-        assert all(isinstance(b, engine.SletBreakdown) for b in batch)
+        _, errors = engine.solve_levels(2, lanes, levels, SolverSettings())
+        assert all(e is None for e in errors)
 
 
 def test_sweep_rows_narrow_window_keep_the_scalar_errors():
@@ -732,8 +745,8 @@ def test_sweep_rows_narrow_window_keep_the_scalar_errors():
     solver = SolverSettings(bracket_hi=1.0)
     lanes, levels, pots = _sweep(-1, 0, [0.0, 0.5, 2.0, 8.0, 40.0])
     batch = engine.solve_levels(2, lanes, levels, solver)
-    assert [type(b) for b in batch] == [NoRootError] * 3 + [
-        engine.SletBreakdown] * 2
+    assert [type(e) for e in batch[1]] == [NoRootError] * 3 + [
+        type(None)] * 2
     _assert_matches_scalar(batch, 2, pots, levels, solver)
 
 
@@ -744,30 +757,35 @@ def test_lanes_after_a_rejected_level_keep_their_own_gamma():
     lanes, _, pots = _sweep(-1, 0, gammas)
     levels = [(1, 0), (0, 0), (1, 0), (1, 1)]
     batch = engine.solve_levels(2, lanes, levels, SolverSettings())
-    assert [type(b) for b in batch] == [engine.SletBreakdown, ValueError,
-                                        engine.SletBreakdown,
-                                        engine.SletBreakdown]
+    columns, errors = batch
+    assert [type(e) for e in errors] == [type(None), ValueError,
+                                         type(None), type(None)]
     _assert_matches_scalar(batch, 2, pots, levels, SolverSettings())
     for k in (0, 2, 3):
         want = engine.solve(SletProblem(2, *levels[k], pots[k]))
-        assert batch[k].E_total == want.E_total, k
+        assert columns["E_total"][k] == want.E_total, k
 
 
 def test_unsettled_lanes_are_solved_with_their_own_parameters(monkeypatch):
     # a batch that settles nothing leaves every row to solve() of its own
-    # donor: the very same breakdown, or the very same error
-    monkeypatch.setattr(engine, "_solve_batch", lambda *args: {})
+    # donor: the very same numbers, or the very same error
+    monkeypatch.setattr(engine, "_solve_batch",
+                        lambda *args: ({}, np.empty(0, dtype=int), {}))
     for solver in (SolverSettings(), SolverSettings(bracket_hi=1.0)):
         lanes, levels, pots = _sweep(-1, 0, [0.0, 0.5, 2.0, 8.0, 40.0])
-        batch = engine.solve_levels(2, lanes, levels, solver)
-        for got, pot in zip(batch, pots):
+        columns, errors = engine.solve_levels(2, lanes, levels, solver)
+        for k, pot in enumerate(pots):
+            got = [columns[f][k] for f in engine.LEVEL_FIELDS]
             try:
                 want = engine.solve(SletProblem(2, 1, 0, pot, solver))
             except SletError as exc:
-                assert type(got) is type(exc) and str(got) == str(exc)
+                assert type(errors[k]) is type(exc)
+                assert str(errors[k]) == str(exc)
+                assert all(math.isnan(v) for v in got)
                 continue
-            assert got == want
-        assert any(isinstance(b, SletError) for b in batch) == (
+            assert errors[k] is None
+            assert got == [getattr(want, f) for f in engine.LEVEL_FIELDS]
+        assert any(isinstance(e, SletError) for e in errors) == (
             solver.bracket_hi == 1.0)
 
 

@@ -203,3 +203,17 @@ def test_expansion_tracks_oracle_on_generic_confining_potentials(pot):
             res = oracle.eigenvalue(3, l, n, pot)
             br = engine.solve(engine.SletProblem(3, l, n, pot))
             assert br.E_total == pytest.approx(res.energy, rel=5e-3), (l, n)
+
+
+@pytest.mark.parametrize("m,ref,rel", [(0, 0.815508, 0.015),
+                                       (-1, 0.910714, 0.001)])
+def test_high_field_donor_against_the_oracle(m, ref, rel):
+    # at gamma = 200 the oracle (R = 5, extrapolated) gives E/gamma = ref,
+    # well below the Landau value 1, and the expansion tracks it to `rel`
+    gamma = 200.0
+    pot = potentials.donor(gamma, m)
+    cfg = oracle.OracleConfig(box_radius=5.0, grid_points=4000, eig_tol=1e-6)
+    res = oracle.eigenvalue(2, abs(m), 0, pot, cfg)
+    assert res.energy_extrapolated / gamma == pytest.approx(ref, abs=1e-4)
+    br = engine.solve(engine.SletProblem(2, abs(m), 0, pot))
+    assert br.E_total / gamma == pytest.approx(ref, rel=rel)
