@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
-from slet import _kernels
+from slet import _kernels, oracle, potentials
+
+B = _kernels._BLOCK
 
 
 def _random_tridiag(rng, n):
@@ -82,3 +85,73 @@ def test_counts_monotone_in_shift():
     shifts = np.sort(rng.uniform(-15.0, 15.0, size=60))
     got = _kernels.sturm_counts(diag, off * off, shifts, 1e-300)
     assert np.all(np.diff(got) >= 0)
+
+
+def _row_by_row(diag, off2, shifts, pivmin):
+    # the recurrence one row at a time, clamping every row: the reference
+    # the blocked kernel must reproduce bit for bit
+    shifts = np.asarray(shifts, dtype=np.float64)
+    q = diag[0] - shifts
+    q = np.where(np.abs(q) < pivmin, -pivmin, q)
+    counts = (q < 0).astype(np.int64)
+    for i in range(1, diag.shape[0]):
+        q = diag[i] - shifts - off2[i - 1] / q
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        counts += q < 0
+    return counts
+
+
+def _assert_same_counts(diag, off2, shifts, pivmin):
+    got = _kernels.sturm_counts(diag, off2, shifts, pivmin)
+    want = _row_by_row(diag, off2, shifts, pivmin)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1, 1000])
+def test_blocks_match_the_row_by_row_recurrence(n):
+    rng = np.random.default_rng(n)
+    diag, off = _random_tridiag(rng, n)
+    shifts = np.sort(rng.uniform(-12.0, 12.0, size=255))
+    _assert_same_counts(diag, off * off, shifts, 1e-300)
+
+
+@pytest.mark.parametrize("dim,l,pot", [(3, 1, potentials.coulomb()),
+                                       (2, 0, potentials.donor(0.0, 0))])
+def test_blocks_match_on_oracle_matrices(dim, l, pot):
+    # the oracle's own operator and pivmin, across its Gershgorin window
+    n = 1000
+    diag, off2 = oracle._operator(dim, l, pot, oracle._spacing(dim, 40.0, n), n)
+    reach = 2.0 * np.sqrt(np.max(off2))
+    shifts = np.linspace(diag.min() - reach, diag.max() + reach, 255)
+    pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(off2)))
+    _assert_same_counts(diag, off2, shifts, pivmin)
+
+
+@pytest.mark.parametrize("row", [B - 1, B, B + 1])
+def test_exact_zero_pivot_at_a_block_edge(row):
+    # a diagonal matrix shifted onto the eigenvalue of one row: that pivot
+    # is exactly zero, and the rows after it divide 0 by it. Blocks start
+    # after row 0, so row B ends the first block and row B + 1 starts the
+    # second
+    diag = np.arange(2 * B + 3, dtype=float)
+    shifts = np.array([row - 0.5, float(row), row + 0.5])
+    _assert_same_counts(diag, np.zeros(diag.size - 1), shifts, 1e-300)
+    assert _kernels.sturm_counts(diag, np.zeros(diag.size - 1), shifts,
+                                 1e-300).tolist() == [row, row + 1, row + 1]
+
+
+def test_tiny_pivot_inside_a_block():
+    # one nonzero pivot below pivmin in the middle of the second block, on
+    # a row decoupled from its neighbours: clamped to -pivmin, it counts as
+    # negative, so its eigenvalue 1e-310 counts at shift 0 (where pivots
+    # couple, the sign of a tiny pivot moves to the next row, and the count
+    # does not tell the clamp)
+    row = B + 1 + B // 2
+    pivmin = np.finfo(np.float64).tiny
+    diag = np.linspace(1.0, 3.0, 2 * B + 5)
+    diag[row] = 1e-310
+    off2 = np.full(diag.size - 1, 0.25)
+    off2[row - 1] = off2[row] = 0.0
+    shifts = np.array([-1.0, 0.0, 1.0])
+    _assert_same_counts(diag, off2, shifts, pivmin)
+    assert _kernels.sturm_counts(diag, off2, shifts, pivmin)[1] == 1
