@@ -36,7 +36,6 @@ from .errors import (
     DomainError,
     InvalidExpansionPointError,
     NoBoundStateError,
-    NoMinimumError,
     NoRootError,
     OracleError,
     ParseError,
@@ -69,8 +68,8 @@ __all__ = [
     "SolverSettings", "alpha1", "alpha2", "appendix_coeffs", "beta_shift",
     "omega", "solve", "solve_r0",
     "DomainError", "InvalidExpansionPointError", "NoBoundStateError",
-    "NoMinimumError", "NoRootError", "OracleError", "ParseError",
-    "SingularityError", "SletError",
+    "NoRootError", "OracleError", "ParseError", "SingularityError",
+    "SletError",
     "Jet", "const", "seed",
     "OracleConfig", "OracleResult", "effective_potential", "eigenvalue",
     "Potential", "coulomb", "donor", "expression", "from_name_or_source",

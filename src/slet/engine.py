@@ -11,9 +11,12 @@ at r0, while r0 itself solves  F(r) = sqrt(r³ V'(r)/2) − l + β(w(r)) = 0.
 That root is the only iterative step: a log-spaced scan brackets every sign
 change of F, and a Newton iteration polishes each one, taking F'(r) from the
 V', V'' and V''' that the potential's order-6 jet already carries and falling
-back to bisection whenever a step leaves the bracket. The energy is then
-assembled from the zeroth-order term plus second- and third-order corrections
-driven by the anharmonicity coefficients alpha1, alpha2.
+back to bisection whenever a step leaves the bracket. Every root where w is
+defined is a minimum: there l̄² = r0³V'/2, so the effective energy's
+curvature 6 l̄²/r0⁴ + V'' equals V' w²/(4 r0) > 0, and l̄ = l + 1/2
++ (n + 1/2) w/2 > 0 as l ≥ −1/2; the root of lowest E0 is taken. The energy
+is then assembled from the zeroth-order term plus second- and third-order
+corrections driven by the anharmonicity coefficients alpha1, alpha2.
 
 One dimension rule: as (l − 1/2)(l + 1/2) = l² − 1/4, a 2D level at l is the
 3D level at l − 1/2 (SletProblem.l_eff), and every level is solved so. Only
@@ -43,7 +46,6 @@ import numpy as np
 from .errors import (
     InvalidExpansionPointError,
     NoBoundStateError,
-    NoMinimumError,
     NoRootError,
     SletError,
 )
@@ -65,6 +67,11 @@ _ENERGIES = ("E0", "E1", "E2_over_lbar2", "E3_over_lbar3", "E_total")
 # scan points x 8 bytes, 0.8 MB, and about five are alive at its peak.
 # 1000-level blocks were no faster on a 10^4-row sweep and took 10 MB more.
 _BLOCK_LEVELS = 256
+# the most scan points a search may take, 25x the default; more is a usage
+# error, not an allocation attempt, as oracle._MAX_GRID_POINTS is for the
+# oracle. A block's array then holds 256 x 10^4 x 8 bytes, 20 MB, and about
+# five are alive at its peak, about 100 MB.
+_MAX_SCAN_POINTS = 10**4
 
 
 @dataclass(frozen=True)
@@ -78,10 +85,11 @@ class SolverSettings:
     term_order: str = TERM_E3
 
     def __post_init__(self):
-        if not (0 < self.bracket_lo < self.bracket_hi):
-            raise ValueError("need 0 < bracket_lo < bracket_hi")
-        if self.scan_points < 16:
-            raise ValueError("scan_points must be at least 16")
+        if not (0 < self.bracket_lo < self.bracket_hi < math.inf):
+            raise ValueError("need 0 < bracket_lo < bracket_hi < inf")
+        if not 16 <= self.scan_points <= _MAX_SCAN_POINTS:
+            raise ValueError(
+                f"scan_points must lie in [16, {_MAX_SCAN_POINTS}]")
         if not (0 < self.root_tol <= 1e-6):
             raise ValueError("root_tol must lie in (0, 1e-6]")
         if self.term_order not in TERM_ORDERS:
@@ -135,7 +143,7 @@ class SletBreakdown:
     dlt: tuple  # dlt1..dlt6
     e: tuple  # e1..e4
     d: tuple  # d1..d6
-    candidates: tuple  # admissible (r0, E0) pairs, search order
+    candidates: tuple  # (r0, E0) of every root of F, search order
 
 
 # -- pointwise pieces -----------------------------------------------------
@@ -303,7 +311,7 @@ def _rootless(settings: SolverSettings, rising, defined) -> SletError:
 
 class _ExpansionPoint(tuple):
     """The (r0, candidates) pair solve_r0 returns. Its `jet` attribute is
-    the potential's jet at r0, made for the minimum test, which solve()
+    the potential's jet at r0, made for w and E0 there, which solve()
     reuses."""
 
 
@@ -312,10 +320,9 @@ def solve_r0(problem: SletProblem):
 
     Log-spaced scan over the bracket window, then a bracket-guarded Newton
     polish of every sign change, converged to root_tol relative to r.
-    Among the roots keep those that are genuine minima of the frozen
-    effective energy l̄²/r² + V(r), by its exact curvature 6 l̄²/r⁴ + V''(r),
-    and return the one with the lowest E0 = l̄²/r0² + V(r0), together with
-    every admissible (r0, E0) pair in search order.
+    Every root is a minimum of the effective energy l̄²/r² + V(r) (module
+    docstring). Returns the root of lowest E0 = l̄²/r0² + V(r0), and every
+    root's (r0, E0) pair in search order.
     """
     s = problem.solver
     grid, lhs, w, rising = _scan(problem.potential, s)
@@ -336,26 +343,17 @@ def solve_r0(problem: SletProblem):
     if not roots:
         raise _rootless(s, rising, finite.any())
 
-    candidates, jets_there = [], []
+    candidates, jets = [], []
     for r0 in roots:
         jet = _jet_at(problem, r0)
-        w = _omega(jet, r0)
-        lbar = problem.l_eff - _shift(problem.n_radial, w)
-        if not lbar > 0:
-            continue
-        if 6.0 * lbar**2 / r0**4 + 2.0 * jet.coeffs[2] > 0:
-            candidates.append((r0, lbar**2 / r0**2 + float(jet.coeffs[0])))
-            jets_there.append(jet)
-
-    if not candidates:
-        raise NoMinimumError(
-            "every root of the expansion-point equation sits on a maximum "
-            "of the effective energy; no stable expansion point")
+        lbar = problem.l_eff - _shift(problem.n_radial, _omega(jet, r0))
+        candidates.append((r0, lbar**2 / r0**2 + float(jet.coeffs[0])))
+        jets.append(jet)
 
     # the lowest E0; the first of equal ones wins
     best = min(range(len(candidates)), key=lambda k: candidates[k][1])
     found = _ExpansionPoint((candidates[best][0], candidates))
-    found.jet = jets_there[best]
+    found.jet = jets[best]
     return found
 
 
@@ -581,20 +579,20 @@ def _brackets(lhs, w, l, n):
 
 
 def _solve_batch(dim, potential, settings, levels):
-    """One batch search over the (index, row, l_eff, n) levels. Returns
+    """One batch search over the (index, l_eff, n) levels. Returns
     {index: SletError} of the levels without a bracket, the indices of the
     levels it solves, and their LEVEL_FIELDS as {field: array} in the
     order of those indices; dim sets only the reported beta. `potential`
-    holds one entry per row in each array parameter; a level takes its
-    row's. A level without a bracket gets the scalar search's error at
+    holds one entry per index in each array parameter; a level takes its
+    index's. A level without a bracket gets the scalar search's error at
     once, the scan's NoBoundStateError among them. A level is left out
-    when a lane of it hit a point where F cannot be evaluated, or it has
-    no admissible minimum, or one of its _ENERGIES is not finite."""
-    index, row, l, n = zip(*levels)
+    when a lane of it hit a point where F or w cannot be evaluated, or one
+    of its _ENERGIES is not finite."""
+    index, l, n = zip(*levels)
     l, n = np.array(l, dtype=float), np.array(n, dtype=float)
     # each level's own lane; a potential without lanes stays as it is, and
     # its one scan row serves every level
-    potential = _lanes(potential, np.array(row))
+    potential = _lanes(potential, np.array(index))
     grid, lhs, w_grid, rising = _scan(_lanes(potential, (slice(None), None)),
                                       settings)
     lhs, w_grid = (np.broadcast_to(a, (l.size, grid.size))
@@ -616,27 +614,24 @@ def _solve_batch(dim, potential, settings, levels):
             _lanes(potential, lanes), l[lanes], n[lanes], roots[lanes],
             grid[cell[lanes] + 1], f_lo[lanes], f_hi[lanes], tol)
 
-    # one jet at every root: the frequency, the exact-curvature minimum
-    # test and E0 = lbar^2/r0^2 + V(r0), as in the scalar search. A +inf
-    # frequency stays admissible, as there.
+    # one jet at every root: the frequency and E0 = lbar^2/r0^2 + V(r0),
+    # as in the scalar search. A +inf frequency stays, as there.
     ok = np.isfinite(roots)
     roots = np.where(ok, roots, 1.0)
     coeffs = [c if np.ndim(c) else np.full(roots.shape, float(c))
               for c in potential.eval_jet(roots).coeffs]
     w = _frequency(roots, coeffs[1], coeffs[2])
     ok &= ~np.isnan(w)
-    lbar = l - _shift(n, w)
-    is_min = (lbar > 0) & (6.0 * lbar**2 / roots**4 + 2.0 * coeffs[2] > 0)
-    e0 = lbar**2 / roots**2 + coeffs[0]
+    e0 = (l - _shift(n, w))**2 / roots**2 + coeffs[0]
 
-    # per level, the admissible root of lowest E0, the first of equal ones
-    # in search order, as in solve_r0 (the sort is stable); none where a
-    # root of the level could not be evaluated
-    order = np.lexsort((np.where(is_min, e0, np.inf), level))
+    # per level, the root of lowest E0, the first of equal ones in search
+    # order, as in solve_r0 (the sort is stable); none where a root of the
+    # level could not be evaluated
+    order = np.lexsort((e0, level))
     chosen = order[np.r_[True, np.diff(level[order]) != 0]]
     broken = np.zeros(len(index), dtype=bool)
     broken[level[~ok]] = True
-    chosen = chosen[is_min[chosen] & ~broken[level[chosen]]]
+    chosen = chosen[~broken[level[chosen]]]
     terms = _energy_terms(l[chosen], n[chosen], roots[chosen],
                           Jet(c[chosen] for c in coeffs), w[chosen],
                           settings.term_order)
@@ -659,26 +654,25 @@ def solve_levels(dim: int, potential: Potential, levels,
 
     The scan is one order-6 jet on its grid, with a row per parameter
     row. A guarded Newton steps every (level, bracket) pair at once, with
-    one array jet per pass; one more jet at all the roots serves the
-    minimum test, and the energies are assembled elementwise. The scan's
-    error and that of a level without a bracket are the scalar search's
-    and need no second scan. A level the batch does not settle otherwise
-    (no admissible minimum, a point where F cannot be evaluated, an energy
-    that is not finite) is solved again by the scalar solve() with its
-    own parameters, so that its outcome and its error text are the scalar
-    path's. The results agree with solve() to within a few units in the
-    last place, since numpy's and the C library's pow may round apart.
+    one array jet per pass; one more jet at all the roots gives w and E0
+    there, each root being a minimum, and the energies are assembled
+    elementwise. The scan's error and that of a level without a bracket
+    are the scalar search's and need no second scan. A level the batch
+    does not settle otherwise (a point where F or w cannot be evaluated,
+    an energy that is not finite) is solved again by the scalar solve()
+    with its own parameters, so that its outcome and its error text are
+    the scalar path's. The results agree with solve() to within a few
+    units in the last place, since numpy's and the C library's pow may
+    round apart.
 
     Returns (columns, errors). `columns` maps each of LEVEL_FIELDS to a
     float array with one entry per level, nan where the level failed.
     errors[i] is None, or the SletError solve() raises for level i, or
     the ValueError SletProblem raises for a level it rejects.
     """
-    lanes = {k: v.shape for k, v in potential.params.items()
-             if isinstance(v, np.ndarray)}
-    for k, shape in lanes.items():
-        if shape != (len(levels),):
-            raise ValueError(f"parameter {k} holds {shape} entries for "
+    for k, v in potential.params.items():
+        if isinstance(v, np.ndarray) and v.shape != (len(levels),):
+            raise ValueError(f"parameter {k} holds {v.shape} entries for "
                              f"{len(levels)} levels")
     columns = {f: np.full(len(levels), np.nan) for f in LEVEL_FIELDS}
     errors = [None] * len(levels)
@@ -696,8 +690,7 @@ def solve_levels(dim: int, potential: Potential, levels,
             try:
                 with np.errstate(all="ignore"):
                     bad, done, cols = _solve_batch(dim, block, settings, [
-                        (i, i if lanes else 0, p.l_eff, p.n_radial)
-                        for i, p in problems.items()])
+                        (i, p.l_eff, p.n_radial) for i, p in problems.items()])
             except (SletError, ArithmeticError):
                 pass  # every level of the block goes to solve()
         for f, col in cols.items():

@@ -43,9 +43,5 @@ class NoRootError(SletError):
     """The expansion-point equation has no sign change on the scan window."""
 
 
-class NoMinimumError(SletError):
-    """Roots were found but none passes the leading-term minimum test."""
-
-
 class OracleError(SletError):
     """Finite-difference eigenvalue bracketing failed."""

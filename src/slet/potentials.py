@@ -69,6 +69,13 @@ def _float(name, value):
         raise DomainError(f"{name}: {err}") from None
 
 
+def _finite(name, value):
+    v = float(_float(name, value))
+    if not math.isfinite(v):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return v
+
+
 def _require_positive(name, value):
     v = float(_float(name, value))
     if not np.isfinite(v) or v <= 0:
@@ -128,8 +135,9 @@ def donor(gamma, m) -> Potential:
 def expression(src: str, params: Mapping[str, float] | None = None) -> Potential:
     """Potential from expression source text. Every parameter referenced in
     the source must appear in `params`; the first unbound reference is
-    reported with its byte offset."""
-    params = {k: float(_float(k, v)) for k, v in (params or {}).items()}
+    reported with its byte offset. A parameter that is not finite is a
+    DomainError."""
+    params = {k: _finite(k, v) for k, v in (params or {}).items()}
     ast = expr.parse(src)
     for ref in expr.param_refs(ast):
         if ref.name not in params:

@@ -722,6 +722,16 @@ def test_donor_m_that_is_no_finite_integer_exits_2(capsys, cmd, m):
     assert err == f"error: m must be a finite integer, got {float(m)}\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
+def test_non_finite_expression_parameter_exits_2(capsys, value):
+    # json output would otherwise carry a bare NaN no strict parser reads
+    rc, out, err = run_cli(capsys, "validate", "--dim", "3", "--potential",
+                           "r", "--param", f"Z={value}", "--l", "0",
+                           "--nr", "0", "--format", "json", "--no-header")
+    assert (rc, out) == (2, "")
+    assert err == f"error: Z must be finite, got {float(value)}\n"
+
+
 def test_sweep_m_beyond_the_float_range_exits_2(capsys):
     m = 10**400
     rc, out, err = run_cli(capsys, "sweep", "--dim", "2", "--potential",
@@ -1071,6 +1081,22 @@ def test_config_rejects_out_of_range_setting(capsys, tmp_path):
                          "--config", str(cfg))
     assert rc == 2
     assert "root_tol" in err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("bracket_hi = inf", "need 0 < bracket_lo < bracket_hi < inf"),
+    ("scan_points = 10001", "scan_points must lie in [16, 10000]"),
+])
+def test_config_rejects_unbounded_scan(capsys, tmp_path, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    for cmd in (["solve", "--l", "0", "--nr", "0"],
+                ["spectrum", "--l-range", "0..1", "--nr-range", "0..1"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, *cmd, "--dim", "3", "--potential",
+                                   "coulomb", "--config", str(cfg))
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_config_missing_file(capsys, tmp_path):

@@ -335,6 +335,13 @@ def test_solver_settings_validation():
         SolverSettings(bracket_lo=2.0, bracket_hi=1.0)
     with pytest.raises(ValueError):
         SolverSettings(scan_points=8)
+    with pytest.raises(ValueError, match="bracket_hi < inf"):
+        SolverSettings(bracket_hi=math.inf)
+    # one more than the cap raises before a scan grid is allocated
+    cap = engine._MAX_SCAN_POINTS
+    assert SolverSettings(scan_points=cap).scan_points == cap
+    with pytest.raises(ValueError, match=r"scan_points must lie in \[16, 10000\]"):
+        SolverSettings(scan_points=cap + 1)
     with pytest.raises(ValueError):
         SolverSettings(root_tol=1e-3)
     with pytest.raises(ValueError):
@@ -507,7 +514,7 @@ def test_polish_needs_few_jets_per_root(monkeypatch, dim, make):
         for n in range(10):
             calls.clear()
             _, candidates = engine.solve_r0(SletProblem(dim, l, n, make(l)))
-            # the polish plus one jet per root for the minimum test
+            # the polish plus one jet per root for its w and E0
             assert len(calls) <= 8 * len(candidates), (l, n, len(calls))
 
 
@@ -521,6 +528,33 @@ def test_power_law_breakdown_matches_closed_form(A, nu, l, n):
     assert br.w == pytest.approx(ref.w, rel=1e-12)
     assert br.lbar == pytest.approx(ref.lbar, rel=1e-12)
     assert br.E0 == pytest.approx(ref.E0, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,pot,levels", [
+    (3, potentials.coulomb(), [(0, 0), (1, 2), (4, 5)]),
+    (3, potentials.harmonic(1.7), [(0, 0), (2, 3), (6, 1)]),
+    (3, potentials.power(1.3, 1.7), [(0, 0), (3, 2), (9, 9)]),
+    (3, potentials.power(2.0, 0.5), [(0, 4), (5, 0)]),
+    (3, potentials.log_potential(1.0, 0.7), [(0, 0), (2, 5), (8, 3)]),
+    *((2, potentials.donor(g, m), [(abs(m), n) for n in (0, 2, 5)])
+      for g in (0.0, 0.5, 5.0, 100.0) for m in (-2, 0, 1)),
+    *((dim, potentials.expression("r^2 + 30*exp(-10*(r - 1.5)^2)"),
+       [(l, n) for l in range(0, 10, 3) for n in range(0, 10, 3)])
+      for dim in (3, 2)),
+])
+def test_every_root_is_a_minimum_of_the_effective_energy(dim, pot, levels):
+    # at a root lbar^2 = r0^3 V'/2, so the curvature 6 lbar^2/r0^4 + V''
+    # of the frozen effective energy is V' w^2/(4 r0) > 0
+    for l, n in levels:
+        problem = SletProblem(dim, l, n, pot)
+        for r0, _ in engine.solve_r0(problem)[1]:
+            c = pot.eval_jet(r0).coeffs
+            w = engine.omega(pot, r0)
+            lbar = problem.l_eff - engine._shift(n, w)
+            assert lbar > 0, (l, n, r0)
+            curvature = 6.0 * lbar**2 / r0**4 + 2.0 * c[2]
+            assert curvature == pytest.approx(c[1] * w**2 / (4.0 * r0),
+                                              rel=1e-9), (l, n, r0)
 
 
 # -- the scalar solve's jets -------------------------------------------------

@@ -100,6 +100,12 @@ def test_a_scalar_r_on_lanes_is_refused():
         lanes.value(1.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_expression_parameter_must_be_finite(value):
+    with pytest.raises(DomainError, match=f"A must be finite, got {value}$"):
+        potentials.expression("A*r", {"A": value})
+
+
 @pytest.mark.parametrize("build", [
     lambda: potentials.donor(10**400, 0),
     lambda: potentials.harmonic(10**400),
