@@ -31,6 +31,11 @@ last row to the next, and the counts are bit for bit those of the row by
 row recurrence. An unclamped pass that meets a zero pivot divides by zero
 before its block is redone, so that pass runs with numpy's divide, invalid
 and overflow warnings off.
+
+Resuming: sturm_walk returns the last row's q beside the counts, and can
+start from a carried-in q. So a matrix's rows can be walked in pieces, and
+two matrices whose leading rows agree can walk those rows once and go on
+from the same q. sturm_counts is the one-shot walk over all rows.
 """
 from __future__ import annotations
 
@@ -50,27 +55,42 @@ _BLOCK = 128
 def sturm_counts(diag, off2, shifts, pivmin):
     """Eigenvalue counts below each shift; rows in blocks, vector over shifts."""
     shifts = np.asarray(shifts, dtype=np.float64)
-    flat = shifts.reshape(-1)
-    q = diag[0] - flat
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    counts = (q < 0).astype(np.int64)
-    n = diag.shape[0]
-    buf = np.empty((min(n - 1, _BLOCK), flat.size))
+    return sturm_walk(diag, off2, shifts.reshape(-1), pivmin)[0] \
+        .reshape(shifts.shape)
+
+
+def sturm_walk(diag, off2, shifts, pivmin, q=None, start=0, stop=None):
+    """(counts, q): the negative q of rows start..stop-1 per shift in the
+    1-D shifts, and the q of row stop - 1.
+
+    Without q, row start begins the recurrence; with q, the q of row
+    start - 1, the walk resumes there, so walks over consecutive row ranges
+    that hand on their q sum to the counts of one walk, bit for bit. q is
+    read, never written, so one q may seed several walks.
+    """
+    stop = diag.shape[0] if stop is None else stop
+    counts = np.zeros(shifts.size, dtype=np.int64)
+    if q is None:
+        q = diag[start] - shifts
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        counts += q < 0
+        start += 1
+    buf = np.empty((min(stop - start, _BLOCK), shifts.size))
     rows = list(buf)
-    tmp = np.empty_like(flat)
-    coeffs = off2.tolist()
-    for i0 in range(1, n, _BLOCK):
-        m = min(n - i0, _BLOCK)
-        block, c = buf[:m], coeffs[i0 - 1:i0 - 1 + m]
-        np.subtract(diag[i0:i0 + m, None], flat, out=block)
+    tmp = np.empty_like(shifts)
+    coeffs = off2[start - 1:stop - 1].tolist()
+    for i0 in range(start, stop, _BLOCK):
+        m = min(stop - i0, _BLOCK)
+        block, c = buf[:m], coeffs[i0 - start:i0 - start + m]
+        np.subtract(diag[i0:i0 + m, None], shifts, out=block)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             _recurrence(rows[:m], c, q, tmp)
         if (np.abs(block) < pivmin).any():
-            np.subtract(diag[i0:i0 + m, None], flat, out=block)
+            np.subtract(diag[i0:i0 + m, None], shifts, out=block)
             _recurrence(rows[:m], c, q, tmp, pivmin)
         counts += (block < 0).sum(axis=0)
         q = block[-1].copy()
-    return counts.reshape(shifts.shape)
+    return counts, q
 
 
 def _recurrence(rows, coeffs, above, tmp, pivmin=None):

@@ -26,16 +26,26 @@ energy_extrapolated (Richardson) is typically far more accurate than
 either raw value.
 
 The search is seeded. Two coarse grids (about N/32 and N/16 points) are
-solved from their Gershgorin windows; their h^2 extrapolation places the
-first window on the N-point grid, half as wide as the extrapolated move.
-The h/2 grid is seeded the same way from the N/16 and N-point energies, the
-larger box from the N-point energy. Each multisection pass counts at
-_PROBES = 255 evenly spaced shifts (a Sturm row costs 1.4-1.7x as much
-at 255 shifts as at 2, and narrows the window 254-fold per pass), the
-window's endpoints among them, so every pass certifies its own window; a
-window whose counts do not bracket k is widened towards the Gershgorin
-window. The search stops when the window is no wider than eig_tol/4, or
-stops shrinking at float resolution.
+solved from their Gershgorin windows, and an N/8 grid from their h^2
+extrapolation. The three energies' extrapolation in h^2 and h^4 (Neville)
+places the first window on the N-point grid, twice as wide as its
+distance from the N/16 and N/8 extrapolation; the h/2 grid is seeded the
+same way from the N/16, N/8 and N-point energies. Each multisection pass
+counts at _PROBES = 255 evenly spaced shifts (a Sturm row costs 1.4-1.7x
+as much at 255 shifts as at 2, and narrows the window 254-fold per pass),
+the window's endpoints among them, so every pass certifies its own
+window; a window whose counts do not bracket k is widened towards the
+Gershgorin window. The search stops when the window is no wider than
+eig_tol/4, or stops shrinking at float resolution.
+
+The larger box costs about half a grid: at the same h, the N-point
+operator is the box's leading N rows (in 2D its last row also carries the
+outer-face term), so the N-point pass whose probes lie at most eig_tol/4
+apart walks rows 0..N-2 once and goes on from there through the N-point
+grid's last row and through the box's remaining rows (sturm_walk). Interlacing puts the box level at or below the N-point
+one, so the box counts bracket k in that pass unless the box level lies
+below its window; only then is the box searched on its own, seeded like
+the h/2 grid.
 
 For the k-th eigenvalue under a fixed centrifugal term, k equals the number
 of radial nodes, i.e. the radial quantum number.
@@ -47,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import sturm_counts
+from ._kernels import sturm_counts, sturm_walk
 from .errors import OracleError
 from .potentials import Potential
 
@@ -74,6 +84,9 @@ class OracleConfig:
     def __post_init__(self):
         if not (self.box_radius > 0 and math.isfinite(self.box_radius)):
             raise ValueError("box_radius must be positive and finite")
+        if isinstance(self.grid_points, bool) \
+                or not isinstance(self.grid_points, (int, np.integer)):
+            raise ValueError("grid_points must be an integer")
         if self.grid_points < 100:
             raise ValueError("grid_points must be at least 100")
         if self.grid_points > _MAX_GRID_POINTS:
@@ -85,10 +98,12 @@ class OracleConfig:
 @dataclass(frozen=True)
 class OracleResult:
     """The k-th level on the N-point and h/2 grids, and its move in the
-    box about 1.5x larger (box_shift). The larger box's search window is
-    centred on `energy`, with a probe on the centre, so a box effect below
-    the search's resolution reads +-0.45 eig_tol/4 (+-1.125e-6 at eig_tol
-    1e-5): that floor is the search's resolution, not a measured effect."""
+    box about 1.5x larger (box_shift). Where one multisection pass counts
+    both grids, each level is the midpoint of its cell among the same
+    probes, spaced at most eig_tol/4 apart: box_shift reads exactly 0.0 when
+    both levels fall in one cell, and a whole number of probe spacings
+    otherwise. A box level below that pass's window is located on its own,
+    to eig_tol/8."""
     k: int
     energy: float
     energy_refined: float
@@ -136,7 +151,7 @@ def _operator(dim, l, potential, h, grid_points):
         # flux form has m^2/rho^2
         diag = 2.0 / h**2 + effective_potential(dim, l, potential, rho) \
             + 0.25 / rho**2
-        diag[-1] += n / (n - 0.5) / h**2  # R = 0 at the outer face
+        diag[-1] += _outer_face(n, h)
         # rho_{i+1/2} / sqrt(rho_i rho_{i+1}) / h^2, squared
         off2 = i[:-1] ** 2 / (i[:-1] ** 2 - 0.25) / h**4
     else:
@@ -148,21 +163,34 @@ def _operator(dim, l, potential, h, grid_points):
     return diag, off2
 
 
-def _kth_eigenvalue(dim, l, k, potential, h, grid_points, tol, seed=None):
-    """(h, E): the grid spacing and the k-th eigenvalue to within tol/2.
+def _outer_face(n, h):
+    """The 2D diagonal term of R = 0 at the outer face, on row n - 1."""
+    return n / (n - 0.5) / h**2
 
-    seed is a pair of (h, energy) results on coarser grids, from which the
-    first window is extrapolated (see _window); without one the search
-    starts from the Gershgorin window, which holds every eigenvalue.
+
+def _pivmin(off2):
+    return np.finfo(np.float64).tiny * max(1.0, float(np.max(off2)))
+
+
+def _kth_eigenvalue(diag, off2, k, tol, window=None, count=None):
+    """The k-th eigenvalue of the operator to within tol/2.
+
+    The search starts from window where it meets the Gershgorin window,
+    which holds every eigenvalue, and from the Gershgorin window without
+    one. count(probes) gives the probes' Sturm counts; by default
+    sturm_counts on the operator.
     """
-    diag, off2 = _operator(dim, l, potential, h, grid_points)
     reach = 2.0 * math.sqrt(float(np.max(off2)))
     g_lo, g_hi = float(np.min(diag)) - reach, float(np.max(diag)) + reach
-    pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(off2)))
+    if count is None:
+        pivmin = _pivmin(off2)
+
+        def count(probes):
+            return sturm_counts(diag, off2, probes, pivmin)
 
     lo, hi = g_lo, g_hi
-    if seed is not None:
-        s_lo, s_hi = _window(*seed, h, tol)
+    if window is not None:
+        s_lo, s_hi = window
         if g_lo < s_hi and s_lo < g_hi:
             lo, hi = max(s_lo, g_lo), min(s_hi, g_hi)
     # multisection: keep the subinterval whose right edge first reaches
@@ -172,7 +200,7 @@ def _kth_eigenvalue(dim, l, k, potential, h, grid_points, tol, seed=None):
     # with a half-width below its ulp) still moves
     while True:
         probes = np.linspace(lo, hi, _PROBES)
-        counts = sturm_counts(diag, off2, probes, pivmin)
+        counts = count(probes)
         grow = max((_PROBES - 1) * (hi - lo), float(np.spacing(abs(lo))))
         if counts[0] > k:
             if lo == g_lo:
@@ -187,60 +215,118 @@ def _kth_eigenvalue(dim, l, k, potential, h, grid_points, tol, seed=None):
             window = float(probes[j - 1]), float(probes[j])
             # done at tol, or where float resolution stops the shrinking
             if window[1] - window[0] <= tol or window == (lo, hi):
-                return h, 0.5 * (window[0] + window[1])
+                return 0.5 * (window[0] + window[1])
             lo, hi = window
     raise OracleError(
         f"eigenvalue {k} escaped the Gershgorin window "
         f"[{g_lo:g}, {g_hi:g}] (counts {counts[0]}, {counts[-1]})")
 
 
-def _window(coarse, fine, h, tol):
+def _extrapolate(points, h):
+    """The value at spacing h of the polynomial in h^2 through points, a
+    sequence of (h, energy) pairs (Neville's scheme)."""
+    x = h * h
+    xs = [p * p for p, _ in points]
+    col = [e for _, e in points]
+    for d in range(1, len(col)):
+        col = [b + (b - a) * (x - xs[i + d]) / (xs[i + d] - xs[i])
+               for i, (a, b) in enumerate(zip(col, col[1:]))]
+    return col[0]
+
+
+def _window(points, h, tol):
     """Search window for the level at spacing h.
 
-    coarse and fine are (h, energy) results on one box. Their h^2
-    extrapolation to h is the guess; the window reaches half the guess's
-    distance from the fine energy to either side of it, and at least so far
-    that a single multisection pass resolves it to tol (0.45 rather than
-    0.5, so rounding cannot leave the subinterval a hair wider than tol).
+    points are (h, energy) results on one box, coarsest first. Their
+    extrapolation to h is the guess; the window reaches twice the guess's
+    distance from the extrapolation without the coarsest point to either
+    side of it, and at least so far that a single multisection pass
+    resolves it to tol (0.45 rather than 0.5, so rounding cannot leave the
+    subinterval a hair wider than tol). At the spacing of the finest point
+    both extrapolations are its energy, and the window is the narrowest.
     """
-    (h1, e1), (h2, e2) = coarse, fine
-    guess = e2 + (e2 - e1) * (h * h - h2 * h2) / (h2 * h2 - h1 * h1)
-    half = max(0.5 * abs(guess - e2), 0.45 * (_PROBES - 1) * tol)
+    guess = _extrapolate(points, h)
+    rough = _extrapolate(points[1:], h)
+    half = max(2.0 * abs(guess - rough), 0.45 * (_PROBES - 1) * tol)
     return guess - half, guess + half
+
+
+def _require_index(name, value):
+    # l(l + 1) is the same at l and -1 - l, so a negative l would solve
+    # another level
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer")
 
 
 def eigenvalue(dim: int, l: int, k: int, potential: Potential,
                config: OracleConfig | None = None) -> OracleResult:
     """k-th bound level (k >= 0) for fixed l, with convergence diagnostics."""
-    if k < 0:
-        raise ValueError("k must be a non-negative integer")
+    _require_index("l", l)
+    _require_index("k", k)
     cfg = config or OracleConfig()
     tol = cfg.eig_tol / 4.0
     box, n = cfg.box_radius, cfg.grid_points
 
-    def level(h, grid_points, seed):
-        return _kth_eigenvalue(dim, l, k, potential, h, grid_points, tol, seed)
+    def level(h, grid_points, points):
+        window = None if points is None else _window(points, h, tol)
+        return _kth_eigenvalue(*_operator(dim, l, potential, h, grid_points),
+                               k, tol, window)
 
-    # the coarse pair only places the first window: when a coarse grid is
-    # too small to hold the level, or hits a singularity the N-point grid
-    # misses, the search starts from the Gershgorin window instead
+    # the coarse grids only place windows: when one is too small to hold
+    # the level, or hits a singularity the N-point grid misses, the
+    # searches start from their Gershgorin windows instead
     try:
-        coarse = tuple(level(_spacing(dim, box, m), m, None)
-                       for m in (n // 32, n // 16))
+        coarse = []
+        for m in (n // 32, n // 16, n // 8):
+            h_m = _spacing(dim, box, m)
+            # N/8 is seeded from the two grids before it
+            coarse.append((h_m, level(h_m, m, coarse if coarse[1:] else None)))
     except OracleError:
         coarse = None
-    h = _spacing(dim, box, n)
-    first = level(h, n, coarse)
-    energy = first[1]
 
-    # the h/2 grid, and a box of about 1.5 R at exactly the same h
+    # the h/2 grid, and a box of about 1.5 R at exactly the same h, whose
+    # leading n rows are the N-point grid's
     if dim == 2:  # radius N h
         n_fine, n_box = 2 * n, round(1.5 * n)
     else:  # radius (N + 1) h
         n_fine, n_box = 2 * n + 1, round(1.5 * (n + 1)) - 1
-    seed = None if coarse is None else (coarse[1], first)
-    refined = level(h / 2, n_fine, seed)[1]
-    boxed = level(h, n_box, seed)[1]
+    h = _spacing(dim, box, n)
+    box_op = _operator(dim, l, potential, h, n_box)
+    diag, off2 = box_op[0][:n].copy(), box_op[1][:n - 1]
+    if dim == 2:
+        diag[-1] += _outer_face(n, h)
+    # off2 is a prefix of the box's and peaks at its first row (constant in
+    # 3D), so the two grids have one pivmin
+    pivmin = _pivmin(off2)
+    shared = []
+
+    def count(probes):
+        # a pass whose probe spacing is within tol also counts the box:
+        # rows 0..n-2 are the same in both, so they are walked once
+        if probes[-1] - probes[0] > (_PROBES - 1) * tol:
+            return sturm_counts(diag, off2, probes, pivmin)
+        head, q = sturm_walk(diag, off2, probes, pivmin, stop=n - 1)
+        last = sturm_walk(diag, off2, probes, pivmin, q=q, start=n - 1)[0]
+        rest = sturm_walk(*box_op, probes, pivmin, q=q, start=n - 1)[0]
+        shared.append((probes, head + rest))
+        return head + last
+
+    energy = _kth_eigenvalue(diag, off2, k, tol,
+                             coarse and _window(coarse, h, tol), count)
+    seed = coarse and [coarse[1], coarse[2], (h, energy)]
+    refined = level(h / 2, n_fine, seed)
+    # the box level is at most the N-point one (interlacing; the 2D face
+    # term only raises the N-point grid's last diagonal entry), so it lies
+    # in the last counted window or below it, where it is searched alone
+    boxed = None
+    if shared:
+        probes, counts = shared[-1]
+        if counts[0] <= k < counts[-1]:
+            j = int(np.argmax(counts > k))
+            boxed = 0.5 * (float(probes[j - 1]) + float(probes[j]))
+    if boxed is None:
+        boxed = _kth_eigenvalue(*box_op, k, tol, seed and _window(seed, h, tol))
     box_shift = float(boxed - energy)
     # plain bool: the numpy one is not JSON serializable
     converged = bool(abs(refined - energy) < cfg.eig_tol

@@ -140,18 +140,66 @@ def test_exact_zero_pivot_at_a_block_edge(row):
                                  1e-300).tolist() == [row, row + 1, row + 1]
 
 
-def test_tiny_pivot_inside_a_block():
-    # one nonzero pivot below pivmin in the middle of the second block, on
-    # a row decoupled from its neighbours: clamped to -pivmin, it counts as
-    # negative, so its eigenvalue 1e-310 counts at shift 0 (where pivots
-    # couple, the sign of a tiny pivot moves to the next row, and the count
-    # does not tell the clamp)
+def _tiny_pivot_matrix():
+    # one nonzero pivot below pivmin, on row B + 1 + B // 2 in the middle
+    # of the second block, decoupled from its neighbours
     row = B + 1 + B // 2
-    pivmin = np.finfo(np.float64).tiny
     diag = np.linspace(1.0, 3.0, 2 * B + 5)
     diag[row] = 1e-310
     off2 = np.full(diag.size - 1, 0.25)
     off2[row - 1] = off2[row] = 0.0
+    return diag, off2
+
+
+def test_tiny_pivot_inside_a_block():
+    # the pivot below pivmin is clamped to -pivmin and counts as negative,
+    # so its eigenvalue 1e-310 counts at shift 0 (where pivots
+    # couple, the sign of a tiny pivot moves to the next row, and the count
+    # does not tell the clamp)
+    diag, off2 = _tiny_pivot_matrix()
+    pivmin = np.finfo(np.float64).tiny
     shifts = np.array([-1.0, 0.0, 1.0])
     _assert_same_counts(diag, off2, shifts, pivmin)
     assert _kernels.sturm_counts(diag, off2, shifts, pivmin)[1] == 1
+
+
+@pytest.mark.parametrize("splits", [
+    [B + 1],  # at the edge of the one-shot walk's first block
+    [B // 2],  # inside a block
+    [B + 1 + B // 2],  # just before the sub-pivmin pivot
+    [1, B // 2, B + 1, B + 1 + B // 2, B + 2 + B // 2, 2 * B + 4],
+])
+def test_resumed_walk_matches_one_walk(splits):
+    diag, off2 = _tiny_pivot_matrix()
+    pivmin = np.finfo(np.float64).tiny
+    shifts = np.array([-1.0, 0.0, 1e-310, 1.0, 2.0, 2.5])
+    whole, q_whole = _kernels.sturm_walk(diag, off2, shifts, pivmin)
+    counts, q, start = np.zeros(shifts.size, dtype=np.int64), None, 0
+    for stop in splits + [diag.size]:
+        piece, q = _kernels.sturm_walk(diag, off2, shifts, pivmin, q=q,
+                                       start=start, stop=stop)
+        counts += piece
+        start = stop
+    want = _row_by_row(diag, off2, shifts, pivmin)
+    assert counts.dtype == want.dtype and np.array_equal(counts, want)
+    assert np.array_equal(whole, want) and np.array_equal(q, q_whole)
+
+
+def test_one_carried_q_seeds_two_walks():
+    # the oracle's shared pass: rows 0..n-2 walked once, then two
+    # matrices that differ in row n - 1 and beyond go on from the same q
+    rng = np.random.default_rng(5)
+    diag, off = _random_tridiag(rng, 3 * B)
+    off2 = off * off
+    n = 2 * B + 7
+    short = diag[:n].copy()
+    short[-1] += 0.75
+    shifts = np.sort(rng.uniform(-12.0, 12.0, size=255))
+    head, q = _kernels.sturm_walk(diag, off2, shifts, 1e-300, stop=n - 1)
+    q_before = q.copy()
+    last = _kernels.sturm_walk(short, off2, shifts, 1e-300, q=q, start=n - 1)[0]
+    rest = _kernels.sturm_walk(diag, off2, shifts, 1e-300, q=q, start=n - 1)[0]
+    assert np.array_equal(q, q_before)
+    assert np.array_equal(head + last,
+                          _row_by_row(short, off2[:n - 1], shifts, 1e-300))
+    assert np.array_equal(head + rest, _row_by_row(diag, off2, shifts, 1e-300))

@@ -33,6 +33,20 @@ def test_config_validation():
         oracle.eigenvalue(3, 0, -1, potentials.coulomb())
 
 
+@pytest.mark.parametrize("l,k", [(-1, 0), (-2, 0), (0.5, 0), (True, 0),
+                                 (0, 0.5), (0, True), (1.0, 0)])
+def test_quantum_numbers_must_be_non_negative_integers(l, k):
+    # l(l + 1) is the same at l and -1 - l, so l = -1 would solve l = 0
+    with pytest.raises(ValueError, match="non-negative integer"):
+        oracle.eigenvalue(3, l, k, potentials.coulomb())
+
+
+@pytest.mark.parametrize("n", [400.0, True, "400"])
+def test_grid_points_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="integer"):
+        oracle.OracleConfig(grid_points=n)
+
+
 def test_escaped_index_raises():
     cfg = oracle.OracleConfig(grid_points=100)
     with pytest.raises(OracleError):
@@ -150,6 +164,15 @@ def test_energy_is_the_matrix_eigenvalue(dim, l, k, pot, radius, n):
     res = oracle.eigenvalue(dim, l, k, pot, cfg)
     want = np.linalg.eigvalsh(_dense_operator(dim, l, pot, radius, n))[k]
     assert abs(res.energy - want) <= cfg.eig_tol / 8.0
+    # the box about 1.5x larger, on the same h
+    if dim == 2:
+        n_box = round(1.5 * n)
+        radius_box = radius / n * n_box
+    else:
+        n_box = round(1.5 * (n + 1)) - 1
+        radius_box = radius / (n + 1) * (n_box + 1)
+    want = np.linalg.eigvalsh(_dense_operator(dim, l, pot, radius_box, n_box))[k]
+    assert abs(res.energy + res.box_shift - want) <= cfg.eig_tol / 8.0
 
 
 @pytest.mark.parametrize("dim,l,n", [(3, 0, 500), (2, 1, 501)])
@@ -159,7 +182,14 @@ def test_larger_box_keeps_the_grid_spacing(dim, l, n):
     pot = potentials.coulomb() if dim == 3 else potentials.donor(0.0, 1)
     cfg = oracle.OracleConfig(box_radius=40.0, grid_points=n, eig_tol=1e-9)
     res = oracle.eigenvalue(dim, l, 0, pot, cfg)
-    assert abs(res.box_shift) < 1e-9
+    assert res.box_shift == 0.0
+
+
+def test_box_shift_below_the_search_resolution_reads_zero():
+    # hydrogen 1s at R = 40 moves by about e^-80 in the larger box: both
+    # levels fall in one cell of the final pass, whose midpoint both take
+    res = oracle.eigenvalue(3, 0, 0, potentials.coulomb())
+    assert res.box_shift == 0.0
 
 
 def test_small_box_is_reported_unconverged():
@@ -217,3 +247,38 @@ def test_high_field_donor_against_the_oracle(m, ref, rel):
     assert res.energy_extrapolated / gamma == pytest.approx(ref, abs=1e-4)
     br = engine.solve(engine.SletProblem(2, abs(m), 0, pot))
     assert br.E_total / gamma == pytest.approx(ref, rel=rel)
+
+
+def test_extrapolation_is_exact_on_a_quadratic_in_h_squared():
+    def e(h):
+        return -1.0 + 0.3 * h**2 - 0.05 * h**4
+    points = [(h, e(h)) for h in (0.8, 0.4, 0.2)]
+    for h in (0.1, 0.05, 0.0):
+        assert oracle._extrapolate(points, h) == pytest.approx(e(h), abs=1e-14)
+    # the window is centred on the guess, at least the one-pass width wide
+    lo, hi = oracle._window(points, 0.1, 1e-6)
+    assert 0.5 * (lo + hi) == pytest.approx(e(0.1), abs=1e-14)
+    assert hi - lo >= 0.9 * (oracle._PROBES - 1) * 1e-6
+
+
+def test_golden_case_row_budget(monkeypatch):
+    # the golden validate case walks its grids' rows at most 4.2 N times
+    # in all: three coarse grids, the N-point passes with the larger box's
+    # rows on the final one, and the h/2 grid
+    rows = []
+    counts, walk = oracle.sturm_counts, oracle.sturm_walk
+
+    def counted_counts(diag, off2, shifts, pivmin):
+        rows.append(diag.shape[0])
+        return counts(diag, off2, shifts, pivmin)
+
+    def counted_walk(diag, off2, shifts, pivmin, q=None, start=0, stop=None):
+        rows.append((diag.shape[0] if stop is None else stop) - start)
+        return walk(diag, off2, shifts, pivmin, q=q, start=start, stop=stop)
+
+    monkeypatch.setattr(oracle, "sturm_counts", counted_counts)
+    monkeypatch.setattr(oracle, "sturm_walk", counted_walk)
+    n = 1500
+    cfg = oracle.OracleConfig(box_radius=20.0, grid_points=n)
+    oracle.eigenvalue(3, 0, 0, potentials.coulomb(), cfg)
+    assert sum(rows) <= 4.2 * n
