@@ -127,15 +127,22 @@ def _potential_from(text: str, param_pairs) -> potentials.Potential:
 def _check_quantum(name: str, value: int):
     if value < 0:
         raise _UsageError(f"{name} must be a non-negative integer")
+    if value > sys.float_info.max:
+        raise _UsageError(f"{name} is beyond the float range")
 
 
 def _parse_range(text: str, what: str):
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
     if not m:
         raise _UsageError(f"--{what} expects A..B, got {text!r}")
-    a, b = int(m.group(1)), int(m.group(2))
+    try:
+        a, b = int(m.group(1)), int(m.group(2))
+    except ValueError:  # more digits than int() takes
+        raise _UsageError(f"--{what} bound has too many digits") from None
     if a < 0:
         raise _UsageError(f"--{what} start must be non-negative")
+    if a > sys.float_info.max:
+        raise _UsageError(f"--{what} start is beyond the float range")
     return a, b
 
 

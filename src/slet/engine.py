@@ -87,6 +87,9 @@ class SolverSettings:
     def __post_init__(self):
         if not (0 < self.bracket_lo < self.bracket_hi < math.inf):
             raise ValueError("need 0 < bracket_lo < bracket_hi < inf")
+        if isinstance(self.scan_points, bool) \
+                or not isinstance(self.scan_points, (int, np.integer)):
+            raise ValueError("scan_points must be an integer")
         if not 16 <= self.scan_points <= _MAX_SCAN_POINTS:
             raise ValueError(
                 f"scan_points must lie in [16, {_MAX_SCAN_POINTS}]")
@@ -113,6 +116,8 @@ class SletProblem:
                 raise ValueError(f"{name} must be a non-negative integer")
             if v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
+            if v > sys.float_info.max:
+                raise ValueError(f"{name} is beyond the float range")
         if self.dim == 2 and self.potential.family == "donor":
             m = self.potential.params["m"]
             if self.l != abs(int(m)):
@@ -435,10 +440,11 @@ def alpha2(n_radial: int, w: float, e, d) -> float:
 # -- assembly --------------------------------------------------------------
 
 
-def _energy_terms(l, n_radial, r0, jet, w, term_order) -> dict:
+def _energy_terms(dim, l, n_radial, r0, jet, w, term_order) -> dict:
     """Every SletBreakdown field but the candidates, of the 3D level at l,
-    from the potential's jet at r0 and the frequency w there. Elementwise:
-    l, n_radial, r0, w and the jet's coefficients may be same-shape arrays."""
+    from the potential's jet at r0 and the frequency w there; beta is
+    reported as beta_shift(dim, ...). Elementwise: l, n_radial, r0, w and
+    the jet's coefficients may be same-shape arrays."""
     n = n_radial
     beta = _shift(n, w)
     lbar = l - beta
@@ -460,7 +466,7 @@ def _energy_terms(l, n_radial, r0, jet, w, term_order) -> dict:
         E_total = E_total + E3_term
 
     return dict(
-        r0=r0, w=w, beta=beta, lbar=lbar, Q=Q,
+        r0=r0, w=w, beta=beta_shift(dim, n, w), lbar=lbar, Q=Q,
         E0=E0, E1=E1, E2_over_lbar2=E2_term, E3_over_lbar3=E3_term,
         E_total=E_total, alpha1=a1, alpha2=a2,
         eps=eps, dlt=dlt, e=e, d=d,
@@ -473,9 +479,8 @@ def solve(problem: SletProblem) -> SletBreakdown:
     # through the module-level name, which per-layer tracing wraps
     found = solve_r0(problem)
     (r0, candidates), jet = found, found.jet
-    terms = _energy_terms(problem.l_eff, problem.n_radial, r0, jet,
-                          _omega(jet, r0), problem.solver.term_order)
-    terms["beta"] += (3 - problem.dim) / 2
+    terms = _energy_terms(problem.dim, problem.l_eff, problem.n_radial, r0,
+                          jet, _omega(jet, r0), problem.solver.term_order)
     for name in _ENERGIES:
         if not math.isfinite(terms[name]):
             raise InvalidExpansionPointError(
@@ -632,10 +637,9 @@ def _solve_batch(dim, potential, settings, levels):
     broken = np.zeros(len(index), dtype=bool)
     broken[level[~ok]] = True
     chosen = chosen[~broken[level[chosen]]]
-    terms = _energy_terms(l[chosen], n[chosen], roots[chosen],
+    terms = _energy_terms(dim, l[chosen], n[chosen], roots[chosen],
                           Jet(c[chosen] for c in coeffs), w[chosen],
                           settings.term_order)
-    terms["beta"] += (3 - dim) / 2
     good = np.logical_and.reduce([np.isfinite(terms[k]) for k in _ENERGIES])
     return (errors, np.array(index)[level[chosen[good]]],
             {f: terms[f][good] for f in LEVEL_FIELDS})

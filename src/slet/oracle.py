@@ -5,47 +5,58 @@ over (0, R] and locates the k-th eigenvalue of the resulting symmetric
 tridiagonal matrix by Sturm-count multisection. Completely independent of
 the expansion machinery: shares only the potential evaluation.
 
-The two dimensions use different schemes:
+Each dimension discretizes its own equation, whose effective potential is
+V + l(l + dim - 2)/r^2 (effective_potential):
 
-- 3D: the reduced equation -u'' + V_eff(r) u = E u for u = r R, the 3-point
-  second difference on r_i = i h, h = R/(N+1), Dirichlet at both ends.
-- 2D: the flux form -(1/rho)(rho R')' + m^2/rho^2 R + V R = E R on the cell
-  centres rho_i = (i - 1/2) h, h = R/N, symmetrized with sqrt(rho_i). The
+- 3D: the reduced equation -u'' + (V + l(l + 1)/r^2) u = E u for u = r R,
+  the 3-point second difference on r_i = i h, Dirichlet at both ends.
+- 2D: the flux form -(1/rho)(rho R')' + (V + m^2/rho^2) R = E R on the
+  cell centres rho_i = (i - 1/2) h, symmetrized with sqrt(rho_i). The
   axis face rho = 0 carries zero flux by construction and R vanishes at
-  the outer face rho = R. Unlike the u = sqrt(rho) R form, whose attractive
+  the outer face. Unlike the u = sqrt(rho) R form, whose attractive
   -1/(4 rho^2) term at m = 0 makes the 3-point scheme converge only
   logarithmically (and to a wrong value), this scheme is second order for
   every m (Mohseni & Colonius, J. Comput. Phys. 157, 2000).
 
+One wall rule serves every grid. With w = dim - 2, N points at spacing h
+span a box of radius (N + w) h: the wall is the node after the last point
+in 3D and the face after the last cell in 2D. So h = R/(N + w), the h/2
+grid has 2(N + w) - w points, and the box about 1.5x larger at the same h
+has round(1.5 (N + w)) - w.
+
 Every result carries its own error estimates: the same eigenvalue on a
-halved spacing (h -> h/2) and in a box about 1.5x larger, whose radius is
-a whole number of steps of the very same h, so that the box shift holds
-no grid change. The result counts as converged only when both shifts are
-below eig_tol. Both schemes gain a factor ~4 per grid doubling, so
+halved spacing (h -> h/2) and in that larger box, whose radius is a whole
+number of steps of the very same h, so that the box shift holds no grid
+change. The result counts as converged only when both shifts are below
+eig_tol. Both schemes gain a factor ~4 per grid doubling, so
 energy_extrapolated (Richardson) is typically far more accurate than
 either raw value.
 
-The search is seeded. Two coarse grids (about N/32 and N/16 points) are
-solved from their Gershgorin windows, and an N/8 grid from their h^2
-extrapolation. The three energies' extrapolation in h^2 and h^4 (Neville)
-places the first window on the N-point grid, twice as wide as its
-distance from the N/16 and N/8 extrapolation; the h/2 grid is seeded the
-same way from the N/16, N/8 and N-point energies. Each multisection pass
-counts at _PROBES = 255 evenly spaced shifts (a Sturm row costs 1.4-1.7x
-as much at 255 shifts as at 2, and narrows the window 254-fold per pass),
-the window's endpoints among them, so every pass certifies its own
-window; a window whose counts do not bracket k is widened towards the
-Gershgorin window. The search stops when the window is no wider than
-eig_tol/4, or stops shrinking at float resolution.
+One seeding rule serves every search. The (h, energy) results on the box
+form one growing list, coarsest first, and a search's first window comes
+from the last three (_window): their extrapolation in h^2 and h^4
+(Neville) is the guess, and the window reaches twice its distance from
+the extrapolation of the last two to either side. With fewer than two
+results the search starts from the Gershgorin window. Three coarse grids (about N/32,
+N/16 and N/8 points) come first, so the N/8 grid is seeded from two of
+them and the N-point grid from all three; the larger box, when it needs a
+search of its own, and the h/2 grid are seeded from the N/16, N/8 and
+N-point energies. Each multisection pass counts at _PROBES = 255 evenly
+spaced shifts (a Sturm row costs 1.4-1.7x as much at 255 shifts as at 2,
+and narrows the window 254-fold per pass), the window's endpoints among
+them, so every pass certifies its own window; a window whose counts do
+not bracket k is widened towards the Gershgorin window. The search stops
+when the window is no wider than eig_tol/4, or stops shrinking at float
+resolution.
 
 The larger box costs about half a grid: at the same h, the N-point
 operator is the box's leading N rows (in 2D its last row also carries the
 outer-face term), so the N-point pass whose probes lie at most eig_tol/4
 apart walks rows 0..N-2 once and goes on from there through the N-point
-grid's last row and through the box's remaining rows (sturm_walk). Interlacing puts the box level at or below the N-point
-one, so the box counts bracket k in that pass unless the box level lies
-below its window; only then is the box searched on its own, seeded like
-the h/2 grid.
+grid's last row and through the box's remaining rows (sturm_walk).
+Interlacing puts the box level at or below the N-point one, so the box
+counts bracket k in that pass unless the box level lies below its window;
+only then is the box searched on its own.
 
 For the k-th eigenvalue under a fixed centrifugal term, k equals the number
 of radial nodes, i.e. the radial quantum number.
@@ -53,6 +64,7 @@ of radial nodes, i.e. the radial quantum number.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,29 +129,25 @@ class OracleResult:
 
 
 def effective_potential(dim: int, l: int, potential: Potential, r):
-    """V(r) plus the centrifugal term of the reduced (u-form) equation."""
-    r = np.asarray(r, dtype=float)
-    if dim == 3:
-        cent = l * (l + 1) / r**2
-    elif dim == 2:
-        cent = (4 * l * l - 1) / (4.0 * r**2)
-    else:
+    """V(r) + l(l + dim - 2)/r^2, the effective potential of the equation
+    each scheme discretizes: l(l + 1)/r^2 for u = r R in 3D, m^2/rho^2 for
+    R itself in 2D (l = |m|)."""
+    if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
-    v = potential.value(r)
-    out = cent + v
+    r = np.asarray(r, dtype=float)
+    out = l * (l + dim - 2) / r**2 + potential.value(r)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def _spacing(dim, box_radius, grid_points):
-    """Grid spacing h of grid_points points on (0, box_radius]."""
-    if dim == 2:
-        return box_radius / grid_points
-    return box_radius / (grid_points + 1)
+    """Grid spacing h of grid_points points whose wall lies at box_radius:
+    N points at spacing h span a box of radius (N + dim - 2) h."""
+    return box_radius / (grid_points + dim - 2)
 
 
 def _operator(dim, l, potential, h, grid_points):
     """Diagonal and squared off-diagonal of the operator on the grid of
-    grid_points points at spacing h (box radius N h in 2D, (N + 1) h in 3D)."""
+    grid_points points at spacing h, whose wall lies at (N + dim - 2) h."""
     n = grid_points
     # h**4 and 1/h**4 must both be normal floats
     if not 1e-75 < h < 1e75:
@@ -147,10 +155,7 @@ def _operator(dim, l, potential, h, grid_points):
     if dim == 2:
         i = np.arange(1, n + 1, dtype=float)
         rho = (i - 0.5) * h
-        # effective_potential carries the u-form's (m^2 - 1/4)/rho^2; the
-        # flux form has m^2/rho^2
-        diag = 2.0 / h**2 + effective_potential(dim, l, potential, rho) \
-            + 0.25 / rho**2
+        diag = 2.0 / h**2 + effective_potential(dim, l, potential, rho)
         diag[-1] += _outer_face(n, h)
         # rho_{i+1/2} / sqrt(rho_i rho_{i+1}) / h^2, squared
         off2 = i[:-1] ** 2 / (i[:-1] ** 2 - 0.25) / h**4
@@ -235,16 +240,21 @@ def _extrapolate(points, h):
 
 
 def _window(points, h, tol):
-    """Search window for the level at spacing h.
+    """Search window for the level at spacing h, or None, the Gershgorin
+    window, from fewer than two points.
 
-    points are (h, energy) results on one box, coarsest first. Their
-    extrapolation to h is the guess; the window reaches twice the guess's
-    distance from the extrapolation without the coarsest point to either
-    side of it, and at least so far that a single multisection pass
-    resolves it to tol (0.45 rather than 0.5, so rounding cannot leave the
-    subinterval a hair wider than tol). At the spacing of the finest point
-    both extrapolations are its energy, and the window is the narrowest.
+    points are (h, energy) results on one box, coarsest first, of which
+    the last three serve. Their extrapolation to h is the guess; the
+    window reaches twice the guess's distance from the extrapolation
+    without the coarsest of them to either side of it, and at least so
+    far that a single multisection pass resolves it to tol (0.45 rather
+    than 0.5, so rounding cannot leave the subinterval a hair wider than
+    tol). At the spacing of the finest point both extrapolations are its
+    energy, and the window is the narrowest.
     """
+    if len(points) < 2:
+        return None
+    points = points[-3:]
     guess = _extrapolate(points, h)
     rough = _extrapolate(points[1:], h)
     half = max(2.0 * abs(guess - rough), 0.45 * (_PROBES - 1) * tol)
@@ -257,6 +267,8 @@ def _require_index(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or value < 0:
         raise ValueError(f"{name} must be a non-negative integer")
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} is beyond the float range")
 
 
 def eigenvalue(dim: int, l: int, k: int, potential: Potential,
@@ -266,33 +278,27 @@ def eigenvalue(dim: int, l: int, k: int, potential: Potential,
     _require_index("k", k)
     cfg = config or OracleConfig()
     tol = cfg.eig_tol / 4.0
-    box, n = cfg.box_radius, cfg.grid_points
+    box, n, w = cfg.box_radius, cfg.grid_points, dim - 2
+    points = []  # (h, energy) on this box, coarsest first
 
-    def level(h, grid_points, points):
-        window = None if points is None else _window(points, h, tol)
+    def level(h, grid_points):
         return _kth_eigenvalue(*_operator(dim, l, potential, h, grid_points),
-                               k, tol, window)
+                               k, tol, _window(points, h, tol))
 
     # the coarse grids only place windows: when one is too small to hold
     # the level, or hits a singularity the N-point grid misses, the
     # searches start from their Gershgorin windows instead
     try:
-        coarse = []
         for m in (n // 32, n // 16, n // 8):
             h_m = _spacing(dim, box, m)
-            # N/8 is seeded from the two grids before it
-            coarse.append((h_m, level(h_m, m, coarse if coarse[1:] else None)))
+            points.append((h_m, level(h_m, m)))
     except OracleError:
-        coarse = None
+        points.clear()
 
-    # the h/2 grid, and a box of about 1.5 R at exactly the same h, whose
-    # leading n rows are the N-point grid's
-    if dim == 2:  # radius N h
-        n_fine, n_box = 2 * n, round(1.5 * n)
-    else:  # radius (N + 1) h
-        n_fine, n_box = 2 * n + 1, round(1.5 * (n + 1)) - 1
+    # a box of about 1.5 R at exactly the same h, whose leading n rows are
+    # the N-point grid's
     h = _spacing(dim, box, n)
-    box_op = _operator(dim, l, potential, h, n_box)
+    box_op = _operator(dim, l, potential, h, round(1.5 * (n + w)) - w)
     diag, off2 = box_op[0][:n].copy(), box_op[1][:n - 1]
     if dim == 2:
         diag[-1] += _outer_face(n, h)
@@ -312,10 +318,9 @@ def eigenvalue(dim: int, l: int, k: int, potential: Potential,
         shared.append((probes, head + rest))
         return head + last
 
-    energy = _kth_eigenvalue(diag, off2, k, tol,
-                             coarse and _window(coarse, h, tol), count)
-    seed = coarse and [coarse[1], coarse[2], (h, energy)]
-    refined = level(h / 2, n_fine, seed)
+    energy = _kth_eigenvalue(diag, off2, k, tol, _window(points, h, tol),
+                             count)
+    points.append((h, energy))
     # the box level is at most the N-point one (interlacing; the 2D face
     # term only raises the N-point grid's last diagonal entry), so it lies
     # in the last counted window or below it, where it is searched alone
@@ -326,7 +331,8 @@ def eigenvalue(dim: int, l: int, k: int, potential: Potential,
             j = int(np.argmax(counts > k))
             boxed = 0.5 * (float(probes[j - 1]) + float(probes[j]))
     if boxed is None:
-        boxed = _kth_eigenvalue(*box_op, k, tol, seed and _window(seed, h, tol))
+        boxed = _kth_eigenvalue(*box_op, k, tol, _window(points, h, tol))
+    refined = level(h / 2, 2 * (n + w) - w)
     box_shift = float(boxed - energy)
     # plain bool: the numpy one is not JSON serializable
     converged = bool(abs(refined - energy) < cfg.eig_tol

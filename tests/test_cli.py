@@ -489,6 +489,27 @@ def test_spectrum_does_not_import_numpy_ma(tmp_path):
     assert len((tmp_path / "out.csv").read_text().splitlines()) == 102
 
 
+def test_validate_does_not_import_scipy(tmp_path):
+    # scipy.linalg alone doubles a process's peak RSS
+    script = (
+        "import sys\n"
+        "from slet import cli\n"
+        "rc = cli.main(['validate', '--dim', '2', '--potential', 'donor',\n"
+        "              '--param', 'gamma=0', '--param', 'm=1', '--l', '1',\n"
+        "              '--nr', '0', '--oracle-R', '21', '--oracle-N', '600',\n"
+        "              '--out', 'out.txt'])\n"
+        "assert rc == 0, rc\n"
+        "print('scipy' in sys.modules)\n")
+    src = pathlib.Path(slet.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def test_spectrum_json_rows(capsys):
     rc, out, _ = run_cli(capsys, "spectrum", "--dim", "3",
                          "--potential", "coulomb",
@@ -730,6 +751,33 @@ def test_non_finite_expression_parameter_exits_2(capsys, value):
                            "--nr", "0", "--format", "json", "--no-header")
     assert (rc, out) == (2, "")
     assert err == f"error: Z must be finite, got {float(value)}\n"
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["solve", "--dim", "3", "--potential", "coulomb", "--l", _HUGE,
+      "--nr", "0"], "l is beyond the float range"),
+    (["solve", "--dim", "3", "--potential", "coulomb", "--l", "0",
+      "--nr", _HUGE], "nr is beyond the float range"),
+    (["validate", "--dim", "3", "--potential", "coulomb", "--l", _HUGE,
+      "--nr", "0", "--oracle-N", "200"], "l is beyond the float range"),
+    (["spectrum", "--dim", "3", "--potential", "coulomb",
+      "--l-range", f"{_HUGE}..{_HUGE}", "--nr-range", "0..0"],
+     "--l-range start is beyond the float range"),
+    (["sweep", "--dim", "2", "--potential", "donor", "--m", "0",
+      "--nr", _HUGE, "--gamma", "0:1:1"], "nr is beyond the float range"),
+    # more digits than Python's int() takes from a string
+    (["spectrum", "--dim", "3", "--potential", "coulomb",
+      "--l-range", "0..0", "--nr-range", "0.." + "1" * 5001],
+     "--nr-range bound has too many digits"),
+], ids=["solve-l", "solve-nr", "validate-l", "spectrum-l", "sweep-nr",
+        "spectrum-digits"])
+def test_quantum_number_beyond_the_float_range_exits_2(capsys, argv, err):
+    rc, out, got = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert got == f"error: {err}\n"
 
 
 def test_sweep_m_beyond_the_float_range_exits_2(capsys):

@@ -342,6 +342,11 @@ def test_solver_settings_validation():
     assert SolverSettings(scan_points=cap).scan_points == cap
     with pytest.raises(ValueError, match=r"scan_points must lie in \[16, 10000\]"):
         SolverSettings(scan_points=cap + 1)
+    # np.logspace takes only an integer count
+    for points in (400.0, 400.5, np.float64(400), True):
+        with pytest.raises(ValueError, match="scan_points must be an integer"):
+            SolverSettings(scan_points=points)
+    assert SolverSettings(scan_points=np.int64(400)).scan_points == 400
     with pytest.raises(ValueError):
         SolverSettings(root_tol=1e-3)
     with pytest.raises(ValueError):
@@ -364,6 +369,21 @@ def test_problem_validation():
         SletProblem(3, 0.5, 0, pot)
     with pytest.raises(ValueError):
         SletProblem(2, 1, 0, potentials.donor(1.0, 0))
+    for l, n in ((10**400, 0), (0, 10**400)):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            SletProblem(3, l, n, pot)
+
+
+def test_solve_levels_records_a_level_beyond_the_float_range():
+    columns, errors = engine.solve_levels(
+        3, potentials.coulomb(), [(0, 0), (10**400, 0), (0, 10**400)],
+        SolverSettings())
+    assert columns["E_total"][0] == pytest.approx(-1.0, rel=1e-2)
+    assert errors[0] is None
+    for exc in errors[1:]:
+        assert isinstance(exc, ValueError)
+        assert "beyond the float range" in str(exc)
+    assert np.isnan(columns["E_total"][1:]).all()
 
 
 def test_term_order_gating():

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ def test_effective_potential_examples():
     assert oracle.effective_potential(3, 1, potentials.coulomb(), 1.0) == \
         pytest.approx(0.0, abs=1e-15)
     free = potentials.expression("0*r")
-    assert oracle.effective_potential(2, 0, free, 2.0) == pytest.approx(-1.0 / 16.0)
+    assert oracle.effective_potential(2, 0, free, 2.0) == 0.0
     linear = potentials.power(1.0, 1.0)
     assert oracle.effective_potential(3, 0, linear, 3.0) == pytest.approx(3.0)
 
@@ -20,6 +23,42 @@ def test_effective_potential_vectorized():
     assert np.allclose(got, 6.0 / r**2 - 2.0 / r)
     with pytest.raises(ValueError):
         oracle.effective_potential(4, 0, potentials.coulomb(), 1.0)
+
+
+@pytest.mark.parametrize("dim,l,cent", [
+    (2, 0, 0.0), (2, 1, 1.0), (2, 2, 4.0),  # m^2 for R itself
+    (3, 0, 0.0), (3, 1, 2.0), (3, 2, 6.0),  # l(l + 1) for u = r R
+])
+def test_effective_potential_carries_each_schemes_centrifugal_term(dim, l, cent):
+    r = np.array([0.25, 1.0, 3.0])
+    pot = potentials.coulomb()
+    got = oracle.effective_potential(dim, l, pot, r)
+    assert np.allclose(got, cent / r**2 + pot.value(r), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_two_dimensional_diagonal_is_the_effective_potential(m):
+    pot = potentials.donor(2.0, m)
+    n = 50
+    h = oracle._spacing(2, 5.0, n)
+    diag, _ = oracle._operator(2, m, pot, h, n)
+    rho = (np.arange(1, n + 1) - 0.5) * h
+    want = 2.0 / h**2 + oracle.effective_potential(2, m, pot, rho)
+    want[-1] += oracle._outer_face(n, h)
+    assert np.array_equal(diag, want)
+
+
+def test_oracle_imports_nothing_from_the_expansion():
+    # the judge shares only the potential definitions with the expansion
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").rpartition(".")[2])
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name.rpartition(".")[2] for a in node.names)
+    assert not names & {"engine", "jets", "expr", "closedform"}
 
 
 def test_config_validation():
@@ -45,6 +84,13 @@ def test_quantum_numbers_must_be_non_negative_integers(l, k):
 def test_grid_points_must_be_an_integer(n):
     with pytest.raises(ValueError, match="integer"):
         oracle.OracleConfig(grid_points=n)
+
+
+@pytest.mark.parametrize("l,k", [(10**400, 0), (0, 10**400)],
+                         ids=["l", "k"])
+def test_quantum_numbers_beyond_the_float_range_raise(l, k):
+    with pytest.raises(ValueError, match="beyond the float range"):
+        oracle.eigenvalue(3, l, k, potentials.coulomb())
 
 
 def test_escaped_index_raises():
@@ -259,6 +305,15 @@ def test_extrapolation_is_exact_on_a_quadratic_in_h_squared():
     lo, hi = oracle._window(points, 0.1, 1e-6)
     assert 0.5 * (lo + hi) == pytest.approx(e(0.1), abs=1e-14)
     assert hi - lo >= 0.9 * (oracle._PROBES - 1) * 1e-6
+
+
+def test_window_takes_the_last_three_points():
+    points = [(h, -1.0 + 0.3 * h**2) for h in (1.6, 0.8, 0.4, 0.2)]
+    # fewer than two points leave the search its Gershgorin window
+    assert oracle._window([], 0.1, 1e-6) is None
+    assert oracle._window(points[:1], 0.1, 1e-6) is None
+    assert oracle._window(points, 0.1, 1e-6) == \
+        oracle._window(points[1:], 0.1, 1e-6)
 
 
 def test_golden_case_row_budget(monkeypatch):
