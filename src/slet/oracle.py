@@ -41,22 +41,29 @@ results the search starts from the Gershgorin window. Three coarse grids (about 
 N/16 and N/8 points) come first, so the N/8 grid is seeded from two of
 them and the N-point grid from all three; the larger box, when it needs a
 search of its own, and the h/2 grid are seeded from the N/16, N/8 and
-N-point energies. Each multisection pass counts at _PROBES = 255 evenly
-spaced shifts (a Sturm row costs 1.4-1.7x as much at 255 shifts as at 2,
-and narrows the window 254-fold per pass), the window's endpoints among
-them, so every pass certifies its own window; a window whose counts do
-not bracket k is widened towards the Gershgorin window. The search stops
-when the window is no wider than eig_tol/4, or stops shrinking at float
-resolution.
+N-point energies.
+
+Each multisection pass lays _PROBES = 255 evenly spaced probes over its
+window, the window's endpoints among them, and narrows the window to the
+cell that ends at the first probe whose count exceeds k. It counts at
+the two endpoints, so every pass certifies its own window, and bisects
+the probe indices between them, which the count's monotonicity in the
+shift allows: about log2(254) = 8 one-shift walks (sturm_walk) find the
+cell a count at all 255 probes would. Counts are kept by shift, so an
+endpoint that was a probe of the pass before is not walked again. A
+window whose counts do not bracket k is widened towards the Gershgorin
+window. The search stops when the window is no wider than eig_tol/4, or
+stops shrinking at float resolution.
 
 The larger box costs about half a grid: at the same h, the N-point
 operator is the box's leading N rows (in 2D its last row also carries the
-outer-face term), so the N-point pass whose probes lie at most eig_tol/4
-apart walks rows 0..N-2 once and goes on from there through the N-point
-grid's last row and through the box's remaining rows (sturm_walk).
-Interlacing puts the box level at or below the N-point one, so the box
-counts bracket k in that pass unless the box level lies below its window;
-only then is the box searched on its own.
+outer-face term), so each N-point walk keeps its count and q after rows
+0..N-2 and goes on from there through the N-point grid's last row; the
+box goes on from the same q through its remaining rows. Interlacing puts
+the box level at or below the N-point one, so on the last N-point pass
+whose probes lie at most eig_tol/4 apart, the box counts bracket k unless
+the box level lies below that pass's window; the box then bisects the same
+probes, and only in the other case is it searched on its own.
 
 For the k-th eigenvalue under a fixed centrifugal term, k equals the number
 of radial nodes, i.e. the radial quantum number.
@@ -66,15 +73,19 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._kernels import sturm_counts, sturm_walk
+# sturm_counts is not called here; perfbench's tracer wraps it by this name
+from ._kernels import sturm_counts, sturm_walk  # noqa: F401
 from .errors import OracleError
 from .potentials import Potential
 
-# Shifts counted per multisection pass. A kernel row costs 1.4-1.7x as
-# much at 255 shifts as at 2, so each pass takes many.
+# Probes per multisection pass. A pass counts at its two ends and bisects
+# the indices between them, about log2(254) = 8 walks, so the number sets
+# the lattice rather than the cost; 255 keeps the lattice, and with it
+# every output, of the full count at every probe.
 _PROBES = 255
 
 # the most grid points one config may ask for (the h/2 grid takes twice
@@ -139,19 +150,19 @@ def effective_potential(dim: int, l: int, potential: Potential, r):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _spacing(dim, box_radius, grid_points):
-    """Grid spacing h of grid_points points whose wall lies at box_radius:
-    N points at spacing h span a box of radius (N + dim - 2) h."""
-    return box_radius / (grid_points + dim - 2)
-
-
-def _operator(dim, l, potential, h, grid_points):
-    """Diagonal and squared off-diagonal of the operator on the grid of
-    grid_points points at spacing h, whose wall lies at (N + dim - 2) h."""
-    n = grid_points
+def _spacing(dim, box_radius, n):
+    """Grid spacing h of n points whose wall lies at box_radius: N points
+    at spacing h span a box of radius (N + dim - 2) h."""
+    h = box_radius / (n + dim - 2)
     # h**4 and 1/h**4 must both be normal floats
     if not 1e-75 < h < 1e75:
         raise OracleError(f"grid spacing {h:g} of {n} points is out of range")
+    return h
+
+
+def _operator(dim, l, potential, h, n):
+    """Diagonal and squared off-diagonal of the operator on the grid of n
+    points at spacing h, whose wall lies at (n + dim - 2) h."""
     if dim == 2:
         i = np.arange(1, n + 1, dtype=float)
         rho = (i - 0.5) * h
@@ -177,13 +188,27 @@ def _pivmin(off2):
     return np.finfo(np.float64).tiny * max(1.0, float(np.max(off2)))
 
 
+def _cell(k, probes, count):
+    """The cell (probes[j - 1], probes[j]) of the first of a pass's probes
+    whose count exceeds k, given count(probes[0]) <= k < count(probes[-1]).
+    Sturm counts are monotone in the shift, so bisection over the indices
+    finds the probe that counting every probe would, in about
+    log2(_PROBES - 1) = 8 walks."""
+    i, j = 0, _PROBES - 1
+    while j - i > 1:
+        mid = (i + j) // 2
+        i, j = (i, mid) if count(probes[mid]) > k else (mid, j)
+    return probes[j - 1], probes[j]
+
+
 def _kth_eigenvalue(diag, off2, k, tol, window=None, count=None):
     """The k-th eigenvalue of the operator to within tol/2.
 
     The search starts from window where it meets the Gershgorin window,
     which holds every eigenvalue, and from the Gershgorin window without
-    one. count(probes) gives the probes' Sturm counts; by default
-    sturm_counts on the operator.
+    one. count(probes) is called once per pass with the pass's probes and
+    returns the function shift -> Sturm count; by default sturm_walk on
+    the operator.
     """
     reach = 2.0 * math.sqrt(float(np.max(off2)))
     g_lo, g_hi = float(np.min(diag)) - reach, float(np.max(diag)) + reach
@@ -191,8 +216,9 @@ def _kth_eigenvalue(diag, off2, k, tol, window=None, count=None):
         pivmin = _pivmin(off2)
 
         def count(probes):
-            return sturm_counts(diag, off2, probes, pivmin)
+            return lambda shift: sturm_walk(diag, off2, shift, pivmin)[0]
 
+    known = {}  # count by shift: a pass's ends are probes of the pass before
     lo, hi = g_lo, g_hi
     if window is not None:
         s_lo, s_hi = window
@@ -204,27 +230,33 @@ def _kth_eigenvalue(diag, off2, k, tol, window=None, count=None):
     # one float step, so that a window rounding has closed (a seed's guess
     # with a half-width below its ulp) still moves
     while True:
-        probes = np.linspace(lo, hi, _PROBES)
-        counts = count(probes)
+        probes = np.linspace(lo, hi, _PROBES).tolist()
+        walk = count(probes)
+
+        def at(shift):
+            if shift not in known:
+                known[shift] = walk(shift)
+            return known[shift]
+
+        ends = at(probes[0]), at(probes[-1])
         grow = max((_PROBES - 1) * (hi - lo), float(np.spacing(abs(lo))))
-        if counts[0] > k:
+        if ends[0] > k:
             if lo == g_lo:
                 break
             lo, hi = max(g_lo, lo - grow), lo
-        elif counts[-1] <= k:
+        elif ends[1] <= k:
             if hi == g_hi:
                 break
             lo, hi = hi, min(g_hi, hi + grow)
         else:
-            j = int(np.argmax(counts > k))
-            window = float(probes[j - 1]), float(probes[j])
+            window = _cell(k, probes, at)
             # done at tol, or where float resolution stops the shrinking
             if window[1] - window[0] <= tol or window == (lo, hi):
                 return 0.5 * (window[0] + window[1])
             lo, hi = window
     raise OracleError(
         f"eigenvalue {k} escaped the Gershgorin window "
-        f"[{g_lo:g}, {g_hi:g}] (counts {counts[0]}, {counts[-1]})")
+        f"[{g_lo:g}, {g_hi:g}] (counts {ends[0]}, {ends[1]})")
 
 
 def _extrapolate(points, h):
@@ -279,25 +311,26 @@ def eigenvalue(dim: int, l: int, k: int, potential: Potential,
     cfg = config or OracleConfig()
     tol = cfg.eig_tol / 4.0
     box, n, w = cfg.box_radius, cfg.grid_points, dim - 2
+    # the N-point spacing first, so that one out of range names N
+    h = _spacing(dim, box, n)
     points = []  # (h, energy) on this box, coarsest first
 
-    def level(h, grid_points):
-        return _kth_eigenvalue(*_operator(dim, l, potential, h, grid_points),
-                               k, tol, _window(points, h, tol))
+    def level(m):
+        h_m = _spacing(dim, box, m)
+        op = _operator(dim, l, potential, h_m, m)
+        return h_m, _kth_eigenvalue(*op, k, tol, _window(points, h_m, tol))
 
     # the coarse grids only place windows: when one is too small to hold
     # the level, or hits a singularity the N-point grid misses, the
     # searches start from their Gershgorin windows instead
     try:
         for m in (n // 32, n // 16, n // 8):
-            h_m = _spacing(dim, box, m)
-            points.append((h_m, level(h_m, m)))
+            points.append(level(m))
     except OracleError:
         points.clear()
 
     # a box of about 1.5 R at exactly the same h, whose leading n rows are
     # the N-point grid's
-    h = _spacing(dim, box, n)
     box_op = _operator(dim, l, potential, h, round(1.5 * (n + w)) - w)
     diag, off2 = box_op[0][:n].copy(), box_op[1][:n - 1]
     if dim == 2:
@@ -305,34 +338,35 @@ def eigenvalue(dim: int, l: int, k: int, potential: Potential,
     # off2 is a prefix of the box's and peaks at its first row (constant in
     # 3D), so the two grids have one pivmin
     pivmin = _pivmin(off2)
-    shared = []
+    heads = {}  # shift -> (count, q) of rows 0..n-2, which both grids share
+    fine = []  # the probes of each pass whose spacing is within tol
+
+    def go_on(op, shift):
+        # the count on op, N-point grid or box, from the q of rows 0..n-2
+        if shift not in heads:
+            heads[shift] = sturm_walk(diag, off2, shift, pivmin, stop=n - 1)
+        c, q = heads[shift]
+        return c + sturm_walk(*op, shift, pivmin, q=q, start=n - 1)[0]
 
     def count(probes):
-        # a pass whose probe spacing is within tol also counts the box:
-        # rows 0..n-2 are the same in both, so they are walked once
-        if probes[-1] - probes[0] > (_PROBES - 1) * tol:
-            return sturm_counts(diag, off2, probes, pivmin)
-        head, q = sturm_walk(diag, off2, probes, pivmin, stop=n - 1)
-        last = sturm_walk(diag, off2, probes, pivmin, q=q, start=n - 1)[0]
-        rest = sturm_walk(*box_op, probes, pivmin, q=q, start=n - 1)[0]
-        shared.append((probes, head + rest))
-        return head + last
+        if probes[-1] - probes[0] <= (_PROBES - 1) * tol:
+            fine.append(probes)
+        return partial(go_on, (diag, off2))
 
     energy = _kth_eigenvalue(diag, off2, k, tol, _window(points, h, tol),
                              count)
     points.append((h, energy))
     # the box level is at most the N-point one (interlacing; the 2D face
     # term only raises the N-point grid's last diagonal entry), so it lies
-    # in the last counted window or below it, where it is searched alone
-    boxed = None
-    if shared:
-        probes, counts = shared[-1]
-        if counts[0] <= k < counts[-1]:
-            j = int(np.argmax(counts > k))
-            boxed = 0.5 * (float(probes[j - 1]) + float(probes[j]))
-    if boxed is None:
+    # in the cell of the last pass whose probes lie at most tol apart, or
+    # below that pass's window, where it is searched alone
+    box_count = partial(go_on, box_op)
+    if fine and box_count(fine[-1][0]) <= k < box_count(fine[-1][-1]):
+        cell = _cell(k, fine[-1], box_count)
+        boxed = 0.5 * (cell[0] + cell[1])
+    else:
         boxed = _kth_eigenvalue(*box_op, k, tol, _window(points, h, tol))
-    refined = level(h / 2, 2 * (n + w) - w)
+    refined = level(2 * (n + w) - w)[1]
     box_shift = float(boxed - energy)
     # plain bool: the numpy one is not JSON serializable
     converged = bool(abs(refined - energy) < cfg.eig_tol

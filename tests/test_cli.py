@@ -883,6 +883,21 @@ def test_validate_rejects_extreme_oracle_inputs(capsys, flag, value):
         assert "oracle failed" in out and "oracle energy" not in out
 
 
+@pytest.mark.parametrize("dim,n,radius,h", [(3, "100", "1e-300", "9.90099e-303"),
+                                            (2, "400", "1e80", "2.5e+77")])
+def test_spacing_out_of_range_names_the_grid_points_given(capsys, dim, n,
+                                                          radius, h):
+    # the coarse grids fail first and the larger box after them; the
+    # message names the --oracle-N grid
+    rc, out, err = run_cli(capsys, "validate", "--dim", str(dim),
+                           "--potential", "coulomb", "--l", "0", "--nr", "0",
+                           "--oracle-N", n, "--oracle-R", radius,
+                           "--no-header")
+    assert rc == 3 and err == ""
+    assert out.splitlines()[1] == (
+        f"oracle failed        grid spacing {h} of {n} points is out of range")
+
+
 def test_validate_rejects_huge_oracle_grid(capsys):
     start = time.perf_counter()
     rc, out, err = run_cli(capsys, "validate", "--dim", "3",

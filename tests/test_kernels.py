@@ -1,9 +1,9 @@
+import array
+
 import numpy as np
 import pytest
 
 from slet import _kernels, oracle, potentials
-
-B = _kernels._BLOCK
 
 
 def _random_tridiag(rng, n):
@@ -88,8 +88,9 @@ def test_counts_monotone_in_shift():
 
 
 def _row_by_row(diag, off2, shifts, pivmin):
-    # the recurrence one row at a time, clamping every row: the reference
-    # the blocked kernel must reproduce bit for bit
+    # the recurrence one row at a time, vectorized over the shifts and
+    # clamping every row: the reference the one-shift walk must reproduce
+    # bit for bit. Returns the counts and the last row's q per shift
     shifts = np.asarray(shifts, dtype=np.float64)
     q = diag[0] - shifts
     q = np.where(np.abs(q) < pivmin, -pivmin, q)
@@ -98,16 +99,30 @@ def _row_by_row(diag, off2, shifts, pivmin):
         q = diag[i] - shifts - off2[i - 1] / q
         q = np.where(np.abs(q) < pivmin, -pivmin, q)
         counts += q < 0
-    return counts
+    return counts, q
+
+
+def _walks(diag, off2, shifts, pivmin):
+    # one sturm_walk per shift over the rows, as the oracle walks them
+    out = [_kernels.sturm_walk(diag, off2, s, pivmin) for s in shifts.tolist()]
+    return [c for c, _ in out], [q for _, q in out]
 
 
 def _assert_same_counts(diag, off2, shifts, pivmin):
+    want, q_want = _row_by_row(diag, off2, shifts, pivmin)
     got = _kernels.sturm_counts(diag, off2, shifts, pivmin)
-    want = _row_by_row(diag, off2, shifts, pivmin)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+    counts, q = _walks(diag, off2, shifts, pivmin)
+    assert counts == want.tolist()
+    # the same IEEE value of every q, the last row's included
+    assert np.array_equal(np.array(q), q_want)
+    arrays = array.array("d", diag), array.array("d", off2)
+    assert [_kernels.sturm_walk(*arrays, s, pivmin)[0]
+            for s in shifts.tolist()] == counts
 
 
-@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1, 1000])
+# the smallest sizes, sizes on both sides of powers of two, and a larger one
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 1000])
 def test_blocks_match_the_row_by_row_recurrence(n):
     rng = np.random.default_rng(n)
     diag, off = _random_tridiag(rng, n)
@@ -123,31 +138,30 @@ def test_blocks_match_on_oracle_matrices(dim, l, pot):
     diag, off2 = oracle._operator(dim, l, pot, oracle._spacing(dim, 40.0, n), n)
     reach = 2.0 * np.sqrt(np.max(off2))
     shifts = np.linspace(diag.min() - reach, diag.max() + reach, 255)
-    pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(off2)))
-    _assert_same_counts(diag, off2, shifts, pivmin)
+    _assert_same_counts(diag, off2, shifts, oracle._pivmin(off2))
 
 
-@pytest.mark.parametrize("row", [B - 1, B, B + 1])
+@pytest.mark.parametrize("row", [127, 128, 129])
 def test_exact_zero_pivot_at_a_block_edge(row):
     # a diagonal matrix shifted onto the eigenvalue of one row: that pivot
-    # is exactly zero, and the rows after it divide 0 by it. Blocks start
-    # after row 0, so row B ends the first block and row B + 1 starts the
-    # second
-    diag = np.arange(2 * B + 3, dtype=float)
+    # is exactly zero, is clamped, and the rows after it divide 0 by it
+    diag = np.arange(259, dtype=float)
     shifts = np.array([row - 0.5, float(row), row + 0.5])
     _assert_same_counts(diag, np.zeros(diag.size - 1), shifts, 1e-300)
     assert _kernels.sturm_counts(diag, np.zeros(diag.size - 1), shifts,
                                  1e-300).tolist() == [row, row + 1, row + 1]
 
 
+_TINY_ROW = 193
+
+
 def _tiny_pivot_matrix():
-    # one nonzero pivot below pivmin, on row B + 1 + B // 2 in the middle
-    # of the second block, decoupled from its neighbours
-    row = B + 1 + B // 2
-    diag = np.linspace(1.0, 3.0, 2 * B + 5)
-    diag[row] = 1e-310
+    # one nonzero pivot below pivmin, on row _TINY_ROW, decoupled from its
+    # neighbours
+    diag = np.linspace(1.0, 3.0, 261)
+    diag[_TINY_ROW] = 1e-310
     off2 = np.full(diag.size - 1, 0.25)
-    off2[row - 1] = off2[row] = 0.0
+    off2[_TINY_ROW - 1] = off2[_TINY_ROW] = 0.0
     return diag, off2
 
 
@@ -161,45 +175,64 @@ def test_tiny_pivot_inside_a_block():
     shifts = np.array([-1.0, 0.0, 1.0])
     _assert_same_counts(diag, off2, shifts, pivmin)
     assert _kernels.sturm_counts(diag, off2, shifts, pivmin)[1] == 1
+    # the clamped q is what the walk hands on
+    assert _kernels.sturm_walk(diag, off2, 0.0, pivmin,
+                               stop=_TINY_ROW + 1) == (1, -pivmin)
+
+
+def _assert_resumed_walks_match(diag, off2, shifts, pivmin, splits):
+    want, q_want = _row_by_row(diag, off2, shifts, pivmin)
+    for s, c_want, q_one in zip(shifts.tolist(), want.tolist(),
+                                q_want.tolist()):
+        count, q, start = 0, None, 0
+        for stop in splits + [diag.size]:
+            piece, q = _kernels.sturm_walk(diag, off2, s, pivmin, q=q,
+                                           start=start, stop=stop)
+            count += piece
+            start = stop
+        assert (count, q) == (c_want, q_one) == _kernels.sturm_walk(
+            diag, off2, s, pivmin)
 
 
 @pytest.mark.parametrize("splits", [
-    [B + 1],  # at the edge of the one-shot walk's first block
-    [B // 2],  # inside a block
-    [B + 1 + B // 2],  # just before the sub-pivmin pivot
-    [1, B // 2, B + 1, B + 1 + B // 2, B + 2 + B // 2, 2 * B + 4],
+    [129],
+    [64],
+    [_TINY_ROW],  # just before the sub-pivmin pivot
+    [1, 64, 129, _TINY_ROW, _TINY_ROW + 1, 260],
 ])
 def test_resumed_walk_matches_one_walk(splits):
     diag, off2 = _tiny_pivot_matrix()
-    pivmin = np.finfo(np.float64).tiny
     shifts = np.array([-1.0, 0.0, 1e-310, 1.0, 2.0, 2.5])
-    whole, q_whole = _kernels.sturm_walk(diag, off2, shifts, pivmin)
-    counts, q, start = np.zeros(shifts.size, dtype=np.int64), None, 0
-    for stop in splits + [diag.size]:
-        piece, q = _kernels.sturm_walk(diag, off2, shifts, pivmin, q=q,
-                                       start=start, stop=stop)
-        counts += piece
-        start = stop
-    want = _row_by_row(diag, off2, shifts, pivmin)
-    assert counts.dtype == want.dtype and np.array_equal(counts, want)
-    assert np.array_equal(whole, want) and np.array_equal(q, q_whole)
+    _assert_resumed_walks_match(diag, off2, shifts,
+                                np.finfo(np.float64).tiny, splits)
+
+
+def test_walk_split_at_every_row():
+    # each row its own walk, on the oracle's operator near its lowest levels
+    n = 60
+    diag, off2 = oracle._operator(3, 0, potentials.coulomb(),
+                                  oracle._spacing(3, 20.0, n), n)
+    shifts = np.linspace(-1.2, 0.5, 9)
+    _assert_resumed_walks_match(diag, off2, shifts, oracle._pivmin(off2),
+                                list(range(1, n)))
 
 
 def test_one_carried_q_seeds_two_walks():
     # the oracle's shared pass: rows 0..n-2 walked once, then two
     # matrices that differ in row n - 1 and beyond go on from the same q
     rng = np.random.default_rng(5)
-    diag, off = _random_tridiag(rng, 3 * B)
+    diag, off = _random_tridiag(rng, 384)
     off2 = off * off
-    n = 2 * B + 7
+    n = 263
     short = diag[:n].copy()
     short[-1] += 0.75
     shifts = np.sort(rng.uniform(-12.0, 12.0, size=255))
-    head, q = _kernels.sturm_walk(diag, off2, shifts, 1e-300, stop=n - 1)
-    q_before = q.copy()
-    last = _kernels.sturm_walk(short, off2, shifts, 1e-300, q=q, start=n - 1)[0]
-    rest = _kernels.sturm_walk(diag, off2, shifts, 1e-300, q=q, start=n - 1)[0]
-    assert np.array_equal(q, q_before)
-    assert np.array_equal(head + last,
-                          _row_by_row(short, off2[:n - 1], shifts, 1e-300))
-    assert np.array_equal(head + rest, _row_by_row(diag, off2, shifts, 1e-300))
+    want_short = _row_by_row(short, off2[:n - 1], shifts, 1e-300)[0]
+    want_long = _row_by_row(diag, off2, shifts, 1e-300)[0]
+    for s, w_short, w_long in zip(shifts.tolist(), want_short.tolist(),
+                                  want_long.tolist()):
+        head, q = _kernels.sturm_walk(diag, off2, s, 1e-300, stop=n - 1)
+        last = _kernels.sturm_walk(short, off2[:n - 1], s, 1e-300, q=q,
+                                   start=n - 1)
+        rest = _kernels.sturm_walk(diag, off2, s, 1e-300, q=q, start=n - 1)
+        assert (head + last[0], head + rest[0]) == (w_short, w_long)

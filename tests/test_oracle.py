@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from slet import engine, oracle, potentials
+from slet import _kernels, engine, oracle, potentials
 from slet.errors import OracleError
 
 
@@ -317,23 +317,108 @@ def test_window_takes_the_last_three_points():
 
 
 def test_golden_case_row_budget(monkeypatch):
-    # the golden validate case walks its grids' rows at most 4.2 N times
-    # in all: three coarse grids, the N-point passes with the larger box's
-    # rows on the final one, and the h/2 grid
-    rows = []
-    counts, walk = oracle.sturm_counts, oracle.sturm_walk
+    # the golden validate case takes at most 45 N one-shift row steps in
+    # all: three coarse grids, the N-point passes with the larger box's
+    # rows on the final one, and the h/2 grid. Every walk, sturm_counts'
+    # included, goes through _kernels.sturm_walk, or oracle's name for it
+    steps = []
+    walk = _kernels.sturm_walk
 
-    def counted_counts(diag, off2, shifts, pivmin):
-        rows.append(diag.shape[0])
-        return counts(diag, off2, shifts, pivmin)
+    def counted_walk(diag, off2, shift, pivmin, q=None, start=0, stop=None):
+        steps.append(((len(diag) if stop is None else stop) - start)
+                     * np.size(shift))
+        return walk(diag, off2, shift, pivmin, q=q, start=start, stop=stop)
 
-    def counted_walk(diag, off2, shifts, pivmin, q=None, start=0, stop=None):
-        rows.append((diag.shape[0] if stop is None else stop) - start)
-        return walk(diag, off2, shifts, pivmin, q=q, start=start, stop=stop)
-
-    monkeypatch.setattr(oracle, "sturm_counts", counted_counts)
+    monkeypatch.setattr(_kernels, "sturm_walk", counted_walk)
     monkeypatch.setattr(oracle, "sturm_walk", counted_walk)
     n = 1500
     cfg = oracle.OracleConfig(box_radius=20.0, grid_points=n)
     oracle.eigenvalue(3, 0, 0, potentials.coulomb(), cfg)
-    assert sum(rows) <= 4.2 * n
+    assert 0 < sum(steps) <= 45 * n
+
+
+def test_golden_case_walks_each_count_once(monkeypatch):
+    # counts are kept by shift, so a pass's ends, which are probes of the
+    # pass before, are not walked again, nor are the N-point rows the
+    # larger box goes on from
+    walks = []
+    walk = oracle.sturm_walk
+
+    def recorded(diag, off2, shift, pivmin, q=None, start=0, stop=None):
+        walks.append((len(diag), start, stop, shift))
+        return walk(diag, off2, shift, pivmin, q=q, start=start, stop=stop)
+
+    monkeypatch.setattr(oracle, "sturm_walk", recorded)
+    cfg = oracle.OracleConfig(box_radius=20.0, grid_points=1500)
+    oracle.eigenvalue(3, 0, 0, potentials.coulomb(), cfg)
+    assert walks and len(set(walks)) == len(walks)
+
+
+def _multisection(diag, off2, k, tol, window=None):
+    # the k-th eigenvalue by counting every one of the _PROBES probes of
+    # each pass, row by row over all of them at once: the reference whose
+    # float the bisecting search must return bit for bit
+    pivmin = oracle._pivmin(off2)
+    reach = 2.0 * np.sqrt(np.max(off2))
+    g_lo, g_hi = float(diag.min() - reach), float(diag.max() + reach)
+    lo, hi = g_lo, g_hi
+    if window is not None and g_lo < window[1] and window[0] < g_hi:
+        lo, hi = max(window[0], g_lo), min(window[1], g_hi)
+    while True:
+        probes = np.linspace(lo, hi, oracle._PROBES)
+        q = diag[0] - probes
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        counts = (q < 0).astype(np.int64)
+        for i in range(1, diag.shape[0]):
+            q = diag[i] - probes - off2[i - 1] / q
+            q = np.where(np.abs(q) < pivmin, -pivmin, q)
+            counts += q < 0
+        grow = max((oracle._PROBES - 1) * (hi - lo), np.spacing(abs(lo)))
+        if counts[0] > k:
+            if lo == g_lo:
+                break
+            lo, hi = max(g_lo, lo - grow), lo
+        elif counts[-1] <= k:
+            if hi == g_hi:
+                break
+            lo, hi = hi, min(g_hi, hi + grow)
+        else:
+            j = int(np.argmax(counts > k))
+            cell = float(probes[j - 1]), float(probes[j])
+            if cell[1] - cell[0] <= tol or cell == (lo, hi):
+                return 0.5 * (cell[0] + cell[1])
+            lo, hi = cell
+    raise OracleError(
+        f"eigenvalue {k} escaped the Gershgorin window "
+        f"[{g_lo:g}, {g_hi:g}] (counts {counts[0]}, {counts[-1]})")
+
+
+def _coulomb_operator(n=300):
+    return oracle._operator(3, 0, potentials.coulomb(),
+                            oracle._spacing(3, 30.0, n), n)
+
+
+@pytest.mark.parametrize("k,tol,window", [
+    (0, 2.5e-6, None),  # from the Gershgorin window
+    (2, 2.5e-6, None),
+    (0, 2.5e-6, (-1.05, -0.95)),  # seeded around the level
+    (1, 2.5e-9, (-0.3, -0.2)),
+    (0, 2.5e-6, (0.5, 0.6)),  # seeded above the level: the window grows
+    (1, 2.5e-6, (-5.0, -4.0)),  # seeded below it
+    (0, 1e-300 / 4, (-1.05, -0.95)),  # stops at float resolution
+])
+def test_bisected_lattice_returns_the_multisection_float(k, tol, window):
+    diag, off2 = _coulomb_operator()
+    got = oracle._kth_eigenvalue(diag, off2, k, tol, window)
+    assert got == _multisection(diag, off2, k, tol, window)
+
+
+@pytest.mark.parametrize("window", [None, (-1.05, -0.95)])
+def test_escaped_index_reports_the_multisection_counts(window):
+    diag, off2 = _coulomb_operator(120)
+    k = diag.size + 3
+    with pytest.raises(OracleError) as want:
+        _multisection(diag, off2, k, 2.5e-6, window)
+    with pytest.raises(OracleError, match=r"\(counts \d+, \d+\)") as got:
+        oracle._kth_eigenvalue(diag, off2, k, 2.5e-6, window)
+    assert str(got.value) == str(want.value)
