@@ -18,15 +18,15 @@ zero count as negative, so a shift sitting exactly on an eigenvalue counts
 it (the at-most-shift convention; ties are measure-zero for bisection).
 A clamped q is never zero, so the division never divides by zero. The
 count is monotone in the shift, in IEEE arithmetic too (Demmel, Dhillon &
-Ren, ETNA 3, 1995), which lets a search bisect over its probes.
+Ren, ETNA 3, 1995), which lets a search bisect on the shift.
 
 One shift per walk: a numpy walk vectorized over the shifts pays numpy's
 per-call cost on every row, 1.3 us a row at 2 shifts and 2.1-2.2 us at
 255, while this loop costs 0.08-0.12 us a row (the oracle's 2D and 3D
-operators at N = 8000, one CPU, one session). So a search that needs few
-counts per pass, such as a bisection, walks one shift at a time. The rows
-are read through a memoryview, which hands out Python floats and slices
-without copying, so diag and off2 are float64 buffers: numpy arrays or
+operators at N = 8000, one CPU, one session). A bisection needs one
+count per step, so it walks one shift at a time. The rows are read
+through a memoryview, which hands out Python floats and slices without
+copying, so diag and off2 are float64 buffers: numpy arrays or
 array.array('d').
 
 Resuming: sturm_walk returns the last row's q beside the count, and can

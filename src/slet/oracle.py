@@ -2,7 +2,7 @@
 
 Discretizes the radial equation with second differences on a uniform grid
 over (0, R] and locates the k-th eigenvalue of the resulting symmetric
-tridiagonal matrix by Sturm-count multisection. Completely independent of
+tridiagonal matrix by Sturm-count bisection. Completely independent of
 the expansion machinery: shares only the potential evaluation.
 
 Each dimension discretizes its own equation, whose effective potential is
@@ -37,33 +37,27 @@ form one growing list, coarsest first, and a search's first window comes
 from the last three (_window): their extrapolation in h^2 and h^4
 (Neville) is the guess, and the window reaches twice its distance from
 the extrapolation of the last two to either side. With fewer than two
-results the search starts from the Gershgorin window. Three coarse grids (about N/32,
-N/16 and N/8 points) come first, so the N/8 grid is seeded from two of
-them and the N-point grid from all three; the larger box, when it needs a
-search of its own, and the h/2 grid are seeded from the N/16, N/8 and
-N-point energies.
+results the search starts from the Gershgorin window. Three coarse grids
+(about N/32, N/16 and N/8 points) come first, so the N/8 grid is seeded
+from two of them, the N-point grid and the larger box from all three,
+and the h/2 grid from the N/16, N/8 and N-point energies.
 
-Each multisection pass lays _PROBES = 255 evenly spaced probes over its
-window, the window's endpoints among them, and narrows the window to the
-cell that ends at the first probe whose count exceeds k. It counts at
-the two endpoints, so every pass certifies its own window, and bisects
-the probe indices between them, which the count's monotonicity in the
-shift allows: about log2(254) = 8 one-shift walks (sturm_walk) find the
-cell a count at all 255 probes would. Counts are kept by shift, so an
-endpoint that was a probe of the pass before is not walked again. A
-window whose counts do not bracket k is widened towards the Gershgorin
-window. The search stops when the window is no wider than eig_tol/4, or
-stops shrinking at float resolution.
+Every search is one bisection (Barth, Martin & Wilkinson, Numer. Math. 9,
+1967) with one-shift Sturm walks (sturm_walk). It counts at both ends of
+its window, so the window is certified by its own counts; a window whose
+counts do not bracket k moves to the side the level lies on and doubles
+its width, up to the Gershgorin window. It then halves the window until
+it is no wider than eig_tol/4, or until float resolution stops the
+halving, and returns the midpoint.
 
 The larger box costs about half a grid: at the same h, the N-point
 operator is the box's leading N rows (in 2D its last row also carries the
-outer-face term), so each N-point walk keeps its count and q after rows
-0..N-2 and goes on from there through the N-point grid's last row; the
-box goes on from the same q through its remaining rows. Interlacing puts
-the box level at or below the N-point one, so on the last N-point pass
-whose probes lie at most eig_tol/4 apart, the box counts bracket k unless
-the box level lies below that pass's window; the box then bisects the same
-probes, and only in the other case is it searched on its own.
+outer-face term), so each walk keeps its count and q after rows 0..N-2,
+by shift, and goes on from there through the rows of its own grid. The
+box is searched like the N-point grid and from the same window, so the
+two bisections probe the same shifts until their counts part, and there
+the box walks only its own rows. Where they never part, both return the
+same midpoint and the box shift reads exactly 0.0.
 
 For the k-th eigenvalue under a fixed centrifugal term, k equals the number
 of radial nodes, i.e. the radial quantum number.
@@ -82,19 +76,13 @@ from ._kernels import sturm_counts, sturm_walk  # noqa: F401
 from .errors import OracleError
 from .potentials import Potential
 
-# Probes per multisection pass. A pass counts at its two ends and bisects
-# the indices between them, about log2(254) = 8 walks, so the number sets
-# the lattice rather than the cost; 255 keeps the lattice, and with it
-# every output, of the full count at every probe.
-_PROBES = 255
-
 # the most grid points one config may ask for (the h/2 grid takes twice
 # as many); more is a usage error, not an allocation attempt
 _MAX_GRID_POINTS = 10**6
 
-# the coarsest eigenvalue tolerance a config may ask for; a coarser one is
-# met by the first multisection pass from the Gershgorin window, and would
-# certify any value as converged
+# the coarsest eigenvalue tolerance a config may ask for; a coarser one
+# stops the searches so early that the shifts they compare say little, and
+# would certify any value as converged
 _MAX_EIG_TOL = 1e-2
 
 
@@ -121,12 +109,10 @@ class OracleConfig:
 @dataclass(frozen=True)
 class OracleResult:
     """The k-th level on the N-point and h/2 grids, and its move in the
-    box about 1.5x larger (box_shift). Where one multisection pass counts
-    both grids, each level is the midpoint of its cell among the same
-    probes, spaced at most eig_tol/4 apart: box_shift reads exactly 0.0 when
-    both levels fall in one cell, and a whole number of probe spacings
-    otherwise. A box level below that pass's window is located on its own,
-    to eig_tol/8."""
+    box about 1.5x larger (box_shift). Each level is the midpoint of a
+    bisection to within eig_tol/8; the N-point and box searches start from
+    one window, so box_shift reads exactly 0.0 when their counts agree at
+    every shift either probes."""
     k: int
     energy: float
     energy_refined: float
@@ -135,8 +121,10 @@ class OracleResult:
 
     @property
     def energy_extrapolated(self) -> float:
-        """Richardson extrapolation of the h and h/2 values."""
-        return (4.0 * self.energy_refined - self.energy) / 3.0
+        """Richardson extrapolation of the h and h/2 values, in a form
+        that stays finite where 4 * energy_refined would overflow."""
+        return self.energy_refined \
+            + (self.energy_refined - self.energy) / 3.0
 
 
 def effective_potential(dim: int, l: int, potential: Potential, r):
@@ -154,8 +142,8 @@ def _spacing(dim, box_radius, n):
     """Grid spacing h of n points whose wall lies at box_radius: N points
     at spacing h span a box of radius (N + dim - 2) h."""
     h = box_radius / (n + dim - 2)
-    # h**4 and 1/h**4 must both be normal floats
-    if not 1e-75 < h < 1e75:
+    # h**4 and 1/h**4 must both be normal floats, at h and on the h/2 grid
+    if not 2e-75 < h < 1e75:
         raise OracleError(f"grid spacing {h:g} of {n} points is out of range")
     return h
 
@@ -188,75 +176,55 @@ def _pivmin(off2):
     return np.finfo(np.float64).tiny * max(1.0, float(np.max(off2)))
 
 
-def _cell(k, probes, count):
-    """The cell (probes[j - 1], probes[j]) of the first of a pass's probes
-    whose count exceeds k, given count(probes[0]) <= k < count(probes[-1]).
-    Sturm counts are monotone in the shift, so bisection over the indices
-    finds the probe that counting every probe would, in about
-    log2(_PROBES - 1) = 8 walks."""
-    i, j = 0, _PROBES - 1
-    while j - i > 1:
-        mid = (i + j) // 2
-        i, j = (i, mid) if count(probes[mid]) > k else (mid, j)
-    return probes[j - 1], probes[j]
-
-
 def _kth_eigenvalue(diag, off2, k, tol, window=None, count=None):
-    """The k-th eigenvalue of the operator to within tol/2.
+    """The k-th eigenvalue of the operator to within tol/2, by Sturm
+    bisection.
 
     The search starts from window where it meets the Gershgorin window,
     which holds every eigenvalue, and from the Gershgorin window without
-    one. count(probes) is called once per pass with the pass's probes and
-    returns the function shift -> Sturm count; by default sturm_walk on
-    the operator.
+    one. count is the function shift -> Sturm count; by default sturm_walk
+    on the operator.
     """
     reach = 2.0 * math.sqrt(float(np.max(off2)))
-    g_lo, g_hi = float(np.min(diag)) - reach, float(np.max(diag)) + reach
+    # one float outward, so that a reach below half an ulp of the diagonal
+    # does not round a bound onto a diagonal entry, whose zero pivot counts
+    g_lo = math.nextafter(float(np.min(diag)) - reach, -math.inf)
+    g_hi = math.nextafter(float(np.max(diag)) + reach, math.inf)
     if count is None:
         pivmin = _pivmin(off2)
 
-        def count(probes):
-            return lambda shift: sturm_walk(diag, off2, shift, pivmin)[0]
+        def count(shift):
+            return sturm_walk(diag, off2, shift, pivmin)[0]
 
-    known = {}  # count by shift: a pass's ends are probes of the pass before
     lo, hi = g_lo, g_hi
     if window is not None:
         s_lo, s_hi = window
         if g_lo < s_hi and s_lo < g_hi:
             lo, hi = max(s_lo, g_lo), min(s_hi, g_hi)
-    # multisection: keep the subinterval whose right edge first reaches
-    # count > k, until the window is narrower than tol; a window that does
-    # not bracket the level grows on the side the level lies, by at least
-    # one float step, so that a window rounding has closed (a seed's guess
-    # with a half-width below its ulp) still moves
-    while True:
-        probes = np.linspace(lo, hi, _PROBES).tolist()
-        walk = count(probes)
-
-        def at(shift):
-            if shift not in known:
-                known[shift] = walk(shift)
-            return known[shift]
-
-        ends = at(probes[0]), at(probes[-1])
-        grow = max((_PROBES - 1) * (hi - lo), float(np.spacing(abs(lo))))
-        if ends[0] > k:
-            if lo == g_lo:
-                break
+    ends = count(lo), count(hi)
+    # a window that does not bracket the level moves to the side the level
+    # lies on and doubles its width, by at least one float step, so that a
+    # window rounding has closed (a seed's guess with a half-width below its
+    # ulp) still moves
+    while not ends[0] <= k < ends[1]:
+        grow = max(2.0 * (hi - lo), math.ulp(lo), math.ulp(hi))
+        if ends[0] > k and lo > g_lo:
             lo, hi = max(g_lo, lo - grow), lo
-        elif ends[1] <= k:
-            if hi == g_hi:
-                break
+            ends = count(lo), ends[0]
+        elif ends[1] <= k and hi < g_hi:
             lo, hi = hi, min(g_hi, hi + grow)
+            ends = ends[1], count(hi)
         else:
-            window = _cell(k, probes, at)
-            # done at tol, or where float resolution stops the shrinking
-            if window[1] - window[0] <= tol or window == (lo, hi):
-                return 0.5 * (window[0] + window[1])
-            lo, hi = window
-    raise OracleError(
-        f"eigenvalue {k} escaped the Gershgorin window "
-        f"[{g_lo:g}, {g_hi:g}] (counts {ends[0]}, {ends[1]})")
+            raise OracleError(
+                f"eigenvalue {k} escaped the Gershgorin window "
+                f"[{g_lo:g}, {g_hi:g}] (counts {ends[0]}, {ends[1]})")
+    # halved at tol, or until float resolution stops the halving; the
+    # halves sum without overflow where lo + hi would not
+    mid = 0.5 * lo + 0.5 * hi
+    while hi - lo > tol and lo < mid < hi:
+        lo, hi = (lo, mid) if count(mid) > k else (mid, hi)
+        mid = 0.5 * lo + 0.5 * hi
+    return mid
 
 
 def _extrapolate(points, h):
@@ -278,18 +246,16 @@ def _window(points, h, tol):
     points are (h, energy) results on one box, coarsest first, of which
     the last three serve. Their extrapolation to h is the guess; the
     window reaches twice the guess's distance from the extrapolation
-    without the coarsest of them to either side of it, and at least so
-    far that a single multisection pass resolves it to tol (0.45 rather
-    than 0.5, so rounding cannot leave the subinterval a hair wider than
-    tol). At the spacing of the finest point both extrapolations are its
-    energy, and the window is the narrowest.
+    without the coarsest of them to either side of it, and at least tol.
+    At the spacing of the finest point both extrapolations are its energy,
+    and the window is the narrowest.
     """
     if len(points) < 2:
         return None
     points = points[-3:]
     guess = _extrapolate(points, h)
     rough = _extrapolate(points[1:], h)
-    half = max(2.0 * abs(guess - rough), 0.45 * (_PROBES - 1) * tol)
+    half = max(2.0 * abs(guess - rough), tol)
     return guess - half, guess + half
 
 
@@ -315,8 +281,7 @@ def eigenvalue(dim: int, l: int, k: int, potential: Potential,
     h = _spacing(dim, box, n)
     points = []  # (h, energy) on this box, coarsest first
 
-    def level(m):
-        h_m = _spacing(dim, box, m)
+    def level(m, h_m):
         op = _operator(dim, l, potential, h_m, m)
         return h_m, _kth_eigenvalue(*op, k, tol, _window(points, h_m, tol))
 
@@ -325,7 +290,7 @@ def eigenvalue(dim: int, l: int, k: int, potential: Potential,
     # searches start from their Gershgorin windows instead
     try:
         for m in (n // 32, n // 16, n // 8):
-            points.append(level(m))
+            points.append(level(m, _spacing(dim, box, m)))
     except OracleError:
         points.clear()
 
@@ -339,7 +304,6 @@ def eigenvalue(dim: int, l: int, k: int, potential: Potential,
     # 3D), so the two grids have one pivmin
     pivmin = _pivmin(off2)
     heads = {}  # shift -> (count, q) of rows 0..n-2, which both grids share
-    fine = []  # the probes of each pass whose spacing is within tol
 
     def go_on(op, shift):
         # the count on op, N-point grid or box, from the q of rows 0..n-2
@@ -348,25 +312,14 @@ def eigenvalue(dim: int, l: int, k: int, potential: Potential,
         c, q = heads[shift]
         return c + sturm_walk(*op, shift, pivmin, q=q, start=n - 1)[0]
 
-    def count(probes):
-        if probes[-1] - probes[0] <= (_PROBES - 1) * tol:
-            fine.append(probes)
-        return partial(go_on, (diag, off2))
-
-    energy = _kth_eigenvalue(diag, off2, k, tol, _window(points, h, tol),
-                             count)
+    # both searches start from one window, so they probe the same shifts
+    # until their counts part, and the box walks only its own rows there
+    seed = _window(points, h, tol)
+    energy = _kth_eigenvalue(diag, off2, k, tol, seed,
+                             partial(go_on, (diag, off2)))
+    boxed = _kth_eigenvalue(*box_op, k, tol, seed, partial(go_on, box_op))
     points.append((h, energy))
-    # the box level is at most the N-point one (interlacing; the 2D face
-    # term only raises the N-point grid's last diagonal entry), so it lies
-    # in the cell of the last pass whose probes lie at most tol apart, or
-    # below that pass's window, where it is searched alone
-    box_count = partial(go_on, box_op)
-    if fine and box_count(fine[-1][0]) <= k < box_count(fine[-1][-1]):
-        cell = _cell(k, fine[-1], box_count)
-        boxed = 0.5 * (cell[0] + cell[1])
-    else:
-        boxed = _kth_eigenvalue(*box_op, k, tol, _window(points, h, tol))
-    refined = level(2 * (n + w) - w)[1]
+    refined = level(2 * (n + w) - w, h / 2)[1]
     box_shift = float(boxed - energy)
     # plain bool: the numpy one is not JSON serializable
     converged = bool(abs(refined - energy) < cfg.eig_tol

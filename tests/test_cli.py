@@ -9,6 +9,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -884,11 +885,13 @@ def test_validate_rejects_extreme_oracle_inputs(capsys, flag, value):
 
 
 @pytest.mark.parametrize("dim,n,radius,h", [(3, "100", "1e-300", "9.90099e-303"),
-                                            (2, "400", "1e80", "2.5e+77")])
+                                            (2, "400", "1e80", "2.5e+77"),
+                                            (3, "100", "1.5e-73", "1.48515e-75")])
 def test_spacing_out_of_range_names_the_grid_points_given(capsys, dim, n,
                                                           radius, h):
-    # the coarse grids fail first and the larger box after them; the
-    # message names the --oracle-N grid
+    # the coarse grids fail first and the larger box after them, and at
+    # R = 1.5e-73 only the h/2 grid's spacing is out of range; the message
+    # names the --oracle-N grid
     rc, out, err = run_cli(capsys, "validate", "--dim", str(dim),
                            "--potential", "coulomb", "--l", "0", "--nr", "0",
                            "--oracle-N", n, "--oracle-R", radius,
@@ -896,6 +899,23 @@ def test_spacing_out_of_range_names_the_grid_points_given(capsys, dim, n,
     assert rc == 3 and err == ""
     assert out.splitlines()[1] == (
         f"oracle failed        grid spacing {h} of {n} points is out of range")
+
+
+@pytest.mark.parametrize("pot", ["1e308*(r/40) - 0.9e308", "1.7e308 + 0*r"])
+def test_gershgorin_window_holds_a_level_near_the_float_limit(capsys, pot):
+    # the diagonal reaches -8.9e307 or 1.7e308, where the Gershgorin reach
+    # is below half an ulp of it; the window's bounds still lie outside
+    # every diagonal entry, and neither the midpoints nor the
+    # extrapolation overflow
+    rc, out, err = run_cli(capsys, "validate", "--dim", "3", "--potential",
+                           pot, "--l", "0", "--nr", "0",
+                           "--oracle-N", "100", "--oracle-R", "40",
+                           "--no-header")
+    assert err == "" and "escaped" not in out
+    rows = dict(line.split(maxsplit=2)[1:] for line in out.splitlines()
+                if line.startswith("oracle "))
+    assert math.isfinite(float(rows["energy"]))
+    assert math.isfinite(float(rows["extrapolated"]))
 
 
 def test_validate_rejects_huge_oracle_grid(capsys):

@@ -301,10 +301,13 @@ def test_extrapolation_is_exact_on_a_quadratic_in_h_squared():
     points = [(h, e(h)) for h in (0.8, 0.4, 0.2)]
     for h in (0.1, 0.05, 0.0):
         assert oracle._extrapolate(points, h) == pytest.approx(e(h), abs=1e-14)
-    # the window is centred on the guess, at least the one-pass width wide
+    # the window is centred on the guess and reaches at least tol to
+    # either side, which it does exactly at the finest point's spacing
     lo, hi = oracle._window(points, 0.1, 1e-6)
     assert 0.5 * (lo + hi) == pytest.approx(e(0.1), abs=1e-14)
-    assert hi - lo >= 0.9 * (oracle._PROBES - 1) * 1e-6
+    assert hi - lo >= 2e-6
+    lo, hi = oracle._window(points, 0.2, 1e-6)
+    assert hi - lo == pytest.approx(2e-6, rel=1e-9)
 
 
 def test_window_takes_the_last_three_points():
@@ -317,10 +320,10 @@ def test_window_takes_the_last_three_points():
 
 
 def test_golden_case_row_budget(monkeypatch):
-    # the golden validate case takes at most 45 N one-shift row steps in
-    # all: three coarse grids, the N-point passes with the larger box's
-    # rows on the final one, and the h/2 grid. Every walk, sturm_counts'
-    # included, goes through _kernels.sturm_walk, or oracle's name for it
+    # the golden validate case takes at most 30 N one-shift row steps in
+    # all: three coarse grids, the N-point bisection, the larger box's own
+    # rows, and the h/2 grid. Every walk, sturm_counts' included, goes
+    # through _kernels.sturm_walk, or oracle's name for it
     steps = []
     walk = _kernels.sturm_walk
 
@@ -334,7 +337,7 @@ def test_golden_case_row_budget(monkeypatch):
     n = 1500
     cfg = oracle.OracleConfig(box_radius=20.0, grid_points=n)
     oracle.eigenvalue(3, 0, 0, potentials.coulomb(), cfg)
-    assert 0 < sum(steps) <= 45 * n
+    assert 0 < sum(steps) <= 30 * n
 
 
 def test_golden_case_walks_each_count_once(monkeypatch):
@@ -354,43 +357,49 @@ def test_golden_case_walks_each_count_once(monkeypatch):
     assert walks and len(set(walks)) == len(walks)
 
 
-def _multisection(diag, off2, k, tol, window=None):
-    # the k-th eigenvalue by counting every one of the _PROBES probes of
-    # each pass, row by row over all of them at once: the reference whose
-    # float the bisecting search must return bit for bit
+def _count(diag, off2, shift, pivmin):
+    # the documented counting rule, row by row at one shift: the negative
+    # pivots, each clamped to -pivmin first where it is smaller than pivmin
+    count, q = 0, None
+    for i, d in enumerate(diag.tolist()):
+        q = d - shift if i == 0 else d - shift - float(off2[i - 1]) / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q < 0
+    return count
+
+
+def _bisection(diag, off2, k, tol, window=None):
+    # the k-th eigenvalue by plain bisection, recounting both ends of every
+    # window: the reference whose float the search must return bit for bit
     pivmin = oracle._pivmin(off2)
-    reach = 2.0 * np.sqrt(np.max(off2))
-    g_lo, g_hi = float(diag.min() - reach), float(diag.max() + reach)
+    reach = 2.0 * float(np.sqrt(np.max(off2)))
+    g_lo = float(np.nextafter(diag.min() - reach, -np.inf))
+    g_hi = float(np.nextafter(diag.max() + reach, np.inf))
     lo, hi = g_lo, g_hi
     if window is not None and g_lo < window[1] and window[0] < g_hi:
         lo, hi = max(window[0], g_lo), min(window[1], g_hi)
     while True:
-        probes = np.linspace(lo, hi, oracle._PROBES)
-        q = diag[0] - probes
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        counts = (q < 0).astype(np.int64)
-        for i in range(1, diag.shape[0]):
-            q = diag[i] - probes - off2[i - 1] / q
-            q = np.where(np.abs(q) < pivmin, -pivmin, q)
-            counts += q < 0
-        grow = max((oracle._PROBES - 1) * (hi - lo), np.spacing(abs(lo)))
-        if counts[0] > k:
-            if lo == g_lo:
-                break
+        counts = _count(diag, off2, lo, pivmin), _count(diag, off2, hi, pivmin)
+        grow = max(2.0 * (hi - lo), np.spacing(abs(lo)), np.spacing(abs(hi)))
+        if counts[0] <= k < counts[1]:
+            break
+        if counts[0] > k and lo != g_lo:
             lo, hi = max(g_lo, lo - grow), lo
-        elif counts[-1] <= k:
-            if hi == g_hi:
-                break
+        elif counts[1] <= k and hi != g_hi:
             lo, hi = hi, min(g_hi, hi + grow)
         else:
-            j = int(np.argmax(counts > k))
-            cell = float(probes[j - 1]), float(probes[j])
-            if cell[1] - cell[0] <= tol or cell == (lo, hi):
-                return 0.5 * (cell[0] + cell[1])
-            lo, hi = cell
-    raise OracleError(
-        f"eigenvalue {k} escaped the Gershgorin window "
-        f"[{g_lo:g}, {g_hi:g}] (counts {counts[0]}, {counts[-1]})")
+            raise OracleError(
+                f"eigenvalue {k} escaped the Gershgorin window "
+                f"[{g_lo:g}, {g_hi:g}] (counts {counts[0]}, {counts[1]})")
+    while True:
+        mid = (lo + hi) / 2
+        if hi - lo <= tol or mid in (lo, hi):
+            return mid
+        if _count(diag, off2, mid, pivmin) > k:
+            hi = mid
+        else:
+            lo = mid
 
 
 def _coulomb_operator(n=300):
@@ -410,7 +419,23 @@ def _coulomb_operator(n=300):
 def test_bisected_lattice_returns_the_multisection_float(k, tol, window):
     diag, off2 = _coulomb_operator()
     got = oracle._kth_eigenvalue(diag, off2, k, tol, window)
-    assert got == _multisection(diag, off2, k, tol, window)
+    assert got == _bisection(diag, off2, k, tol, window)
+
+
+@pytest.mark.parametrize("window", [(0.5, 0.6), (-5.0, -4.0)])
+def test_a_moving_window_counts_each_shift_once(window):
+    # the end a window moves from keeps its count
+    diag, off2 = _coulomb_operator()
+    pivmin = oracle._pivmin(off2)
+    shifts = []
+
+    def count(shift):
+        shifts.append(shift)
+        return _kernels.sturm_walk(diag, off2, shift, pivmin)[0]
+
+    got = oracle._kth_eigenvalue(diag, off2, 0, 2.5e-6, window, count)
+    assert got == _bisection(diag, off2, 0, 2.5e-6, window)
+    assert len(set(shifts)) == len(shifts)
 
 
 @pytest.mark.parametrize("window", [None, (-1.05, -0.95)])
@@ -418,7 +443,7 @@ def test_escaped_index_reports_the_multisection_counts(window):
     diag, off2 = _coulomb_operator(120)
     k = diag.size + 3
     with pytest.raises(OracleError) as want:
-        _multisection(diag, off2, k, 2.5e-6, window)
+        _bisection(diag, off2, k, 2.5e-6, window)
     with pytest.raises(OracleError, match=r"\(counts \d+, \d+\)") as got:
         oracle._kth_eigenvalue(diag, off2, k, 2.5e-6, window)
     assert str(got.value) == str(want.value)
