@@ -34,12 +34,36 @@ start from a carried-in q. So a matrix's rows can be walked in pieces, and
 two matrices whose leading rows agree can walk those rows once and go on
 from the same q. sturm_counts is the one-shot walk over all rows, one
 shift at a time.
+
+Early exits: a bisection for the k-th eigenvalue only asks whether a count
+exceeds k, so a walk may stop once that answer is settled; it then returns
+None for q. Neither exit changes the answer at any shift, so a search
+probes the same shifts and returns the same float with them as without.
+
+- Count cap: counts only grow along the rows, so the walk stops when its
+  count reaches limit (k + 1) and returns min(full count, limit).
+- Tail bound: past row i, every row has diag - shift >= a = dmin_i - shift
+  and off2 <= C = cmax_i, the suffix extremes of tail_bounds, computed
+  once per operator. If a > 2 sqrt(C), the map q -> a - C/q is increasing
+  and maps [q-, q+], the interval between its fixed points, into itself,
+  so from q >= q- on no q is negative and the count is final. The walk
+  tests this every _STRIDE rows from the first row whose floor
+  dmin - 2 sqrt(cmax), which never decreases, lies above the shift (found
+  by bisection), in the form: with t = min(q, a/2), t >= pivmin and
+  a - C/t >= t. t = a/2 lies in [q-, q+] whenever a^2 >= 4C, so up to
+  rounding the test passes for every q >= q-. It needs no margin
+  because it is made with the walk's own float operations, and IEEE
+  rounding is monotone: while q >= t, each later row has
+  fl(diag - shift) >= a and fl(off2/q) <= fl(C/t), so its q is at least
+  fl(a - fl(C/t)) >= t. t >= pivmin keeps the clamp from firing in the
+  rows the walk skips.
 """
 from __future__ import annotations
 
 import importlib.util
 import math
-from itertools import chain
+from bisect import bisect_right
+from itertools import chain, islice
 
 import numpy as np
 
@@ -47,6 +71,9 @@ import numpy as np
 BACKEND = "python"
 # recorded by perfbench/worker.py; find_spec does not import numba
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
+
+# rows walked between two tests of the tail bound
+_STRIDE = 32
 
 
 def sturm_counts(diag, off2, shifts, pivmin):
@@ -57,14 +84,37 @@ def sturm_counts(diag, off2, shifts, pivmin):
     return np.array(counts, dtype=np.int64).reshape(shifts.shape)
 
 
-def sturm_walk(diag, off2, shift, pivmin, q=None, start=0, stop=None):
+def tail_bounds(diag, off2):
+    """(floor, dmin, cmax), by row i: the least diagonal of rows i and
+    beyond, the greatest off2 that enters them, and dmin - 2 sqrt(cmax),
+    which never decreases with i. One set per operator serves every walk
+    on it, and on any operator whose rows it bounds."""
+    diag = np.asarray(diag, dtype=np.float64)
+    off2 = np.asarray(off2, dtype=np.float64)
+    dmin = np.minimum.accumulate(diag[::-1])[::-1].copy()
+    cmax = np.zeros_like(dmin)
+    if off2.size:
+        cmax[1:] = np.maximum.accumulate(off2[::-1])[::-1]
+        cmax[0] = cmax[1]
+    return (memoryview(dmin - 2.0 * np.sqrt(cmax)), memoryview(dmin),
+            memoryview(cmax))
+
+
+def sturm_walk(diag, off2, shift, pivmin, q=None, start=0, stop=None,
+               limit=None, tail=None):
     """(count, q): how many q of rows start..stop-1 are negative at shift,
-    and the q of row stop - 1.
+    and the q of row stop - 1, or (count, None) from a walk that settled
+    early.
 
     Without q, row start begins the recurrence; with q, the q of row
     start - 1, the walk resumes there, so walks over consecutive row ranges
     that hand on their q sum to the count of one walk, bit for bit. q is a
     plain float, so one q may seed several walks.
+
+    A walk settles, and returns None for q, when the count reaches limit
+    (a positive count), or when tail, the tail_bounds of an operator whose
+    rows bound these rows from start on, shows that no later q is negative.
+    A settled count is min(full count, limit) either way.
     """
     diag, off2 = memoryview(diag), memoryview(off2)
     shift, pivmin = float(shift), float(pivmin)
@@ -74,12 +124,32 @@ def sturm_walk(diag, off2, shift, pivmin, q=None, start=0, stop=None):
         q, coeffs = math.inf, chain((0.0,), off2[start:stop - 1])
     else:
         coeffs = off2[start - 1:stop - 1]
-    count = 0
-    for d, c in zip(diag[start:stop], coeffs):
-        q = (d - shift) - c / q
-        # q < pivmin is a negative q or one the clamp makes -pivmin
-        if q < pivmin:
-            count += 1
-            if q > -pivmin:
-                q = -pivmin
+    rows = zip(diag[start:stop], coeffs)
+    if limit is None:
+        limit = stop - start + 1
+    if tail is None:
+        tests = ()
+    else:
+        # before the first row whose floor lies above the shift, no test
+        # can pass
+        floor, dmin, cmax = tail
+        tests = range(max(start, bisect_right(floor, shift)), stop, _STRIDE)
+    count, row = 0, start
+    for edge in chain(tests, (stop,)):
+        for d, c in islice(rows, edge - row):
+            q = (d - shift) - c / q
+            # q < pivmin is a negative q or one the clamp makes -pivmin
+            if q < pivmin:
+                count += 1
+                if count >= limit:
+                    return count, None
+                if q > -pivmin:
+                    q = -pivmin
+        row = edge
+        if edge < stop:
+            # the tail bound at row edge, in the walk's own rounding
+            a = dmin[edge] - shift
+            t = q if q < 0.5 * a else 0.5 * a
+            if t >= pivmin and a - cmax[edge] / t >= t:
+                return count, None
     return count, q

@@ -50,6 +50,14 @@ its width, up to the Gershgorin window. It then halves the window until
 it is no wider than eig_tol/4, or until float resolution stops the
 halving, and returns the midpoint.
 
+A search asks only whether a count exceeds k, so every walk stops once
+that is settled (sturm_walk): when its count reaches k + 1, or when the
+tail bound shows that no later pivot is negative, which happens a few
+rows into the classically forbidden tail. Neither exit changes what a
+search reads, so each probes the same shifts and returns the same float
+as with full walks. The error of an escaped index recounts its window's
+ends in full, so it reports the full counts.
+
 The larger box costs about half a grid: at the same h, the N-point
 operator is the box's leading N rows (in 2D its last row also carries the
 outer-face term), so each walk keeps its count and q after rows 0..N-2,
@@ -57,7 +65,10 @@ by shift, and goes on from there through the rows of its own grid. The
 box is searched like the N-point grid and from the same window, so the
 two bisections probe the same shifts until their counts part, and there
 the box walks only its own rows. Where they never part, both return the
-same midpoint and the box shift reads exactly 0.0.
+same midpoint and the box shift reads exactly 0.0. Both grids' walks are
+bounded by the box's tail: those bounds hold for the N-point rows too,
+because in 2D only their last diagonal is larger. So a walk over rows
+0..N-2 that settles settles both counts.
 
 For the k-th eigenvalue under a fixed centrifugal term, k equals the number
 of radial nodes, i.e. the radial quantum number.
@@ -72,7 +83,7 @@ from functools import partial
 import numpy as np
 
 # sturm_counts is not called here; perfbench's tracer wraps it by this name
-from ._kernels import sturm_counts, sturm_walk  # noqa: F401
+from ._kernels import sturm_counts, sturm_walk, tail_bounds  # noqa: F401
 from .errors import OracleError
 from .potentials import Potential
 
@@ -183,18 +194,22 @@ def _kth_eigenvalue(diag, off2, k, tol, window=None, count=None):
     The search starts from window where it meets the Gershgorin window,
     which holds every eigenvalue, and from the Gershgorin window without
     one. count is the function shift -> Sturm count; by default sturm_walk
-    on the operator.
+    on the operator. The search only asks whether a count exceeds k, so
+    count may cap its counts at k + 1; the error of an escaped index
+    recounts its ends in full.
     """
     reach = 2.0 * math.sqrt(float(np.max(off2)))
     # one float outward, so that a reach below half an ulp of the diagonal
     # does not round a bound onto a diagonal entry, whose zero pivot counts
     g_lo = math.nextafter(float(np.min(diag)) - reach, -math.inf)
     g_hi = math.nextafter(float(np.max(diag)) + reach, math.inf)
+    pivmin = _pivmin(off2)
     if count is None:
-        pivmin = _pivmin(off2)
+        tail = tail_bounds(diag, off2)
 
         def count(shift):
-            return sturm_walk(diag, off2, shift, pivmin)[0]
+            return sturm_walk(diag, off2, shift, pivmin, limit=k + 1,
+                              tail=tail)[0]
 
     lo, hi = g_lo, g_hi
     if window is not None:
@@ -215,6 +230,7 @@ def _kth_eigenvalue(diag, off2, k, tol, window=None, count=None):
             lo, hi = hi, min(g_hi, hi + grow)
             ends = ends[1], count(hi)
         else:
+            ends = [sturm_walk(diag, off2, s, pivmin)[0] for s in (lo, hi)]
             raise OracleError(
                 f"eigenvalue {k} escaped the Gershgorin window "
                 f"[{g_lo:g}, {g_hi:g}] (counts {ends[0]}, {ends[1]})")
@@ -303,14 +319,22 @@ def eigenvalue(dim: int, l: int, k: int, potential: Potential,
     # off2 is a prefix of the box's and peaks at its first row (constant in
     # 3D), so the two grids have one pivmin
     pivmin = _pivmin(off2)
+    # the box's bounds hold for the N-point rows too: its leading rows, of
+    # which only the 2D last diagonal is larger
+    tail = tail_bounds(*box_op)
     heads = {}  # shift -> (count, q) of rows 0..n-2, which both grids share
 
     def go_on(op, shift):
-        # the count on op, N-point grid or box, from the q of rows 0..n-2
+        # the count on op, N-point grid or box, capped at k + 1, from the q
+        # of rows 0..n-2; a head that settled settles both
         if shift not in heads:
-            heads[shift] = sturm_walk(diag, off2, shift, pivmin, stop=n - 1)
+            heads[shift] = sturm_walk(diag, off2, shift, pivmin, stop=n - 1,
+                                      limit=k + 1, tail=tail)
         c, q = heads[shift]
-        return c + sturm_walk(*op, shift, pivmin, q=q, start=n - 1)[0]
+        if q is None:
+            return c
+        return c + sturm_walk(*op, shift, pivmin, q=q, start=n - 1,
+                              limit=k + 1 - c, tail=tail)[0]
 
     # both searches start from one window, so they probe the same shifts
     # until their counts part, and the box walks only its own rows there

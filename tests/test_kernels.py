@@ -1,7 +1,12 @@
 import array
+import contextlib
+import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slet import _kernels, oracle, potentials
 
@@ -236,3 +241,192 @@ def test_one_carried_q_seeds_two_walks():
                                    start=n - 1)
         rest = _kernels.sturm_walk(diag, off2, s, 1e-300, q=q, start=n - 1)
         assert (head + last[0], head + rest[0]) == (w_short, w_long)
+
+
+# -- early exits: the count cap and the tail bound ---------------------------
+
+def _with_far_feature(dim, pot, depth):
+    # a Gaussian bump (depth < 0) or well (depth > 0) deep in the tail of
+    # the operator on 300 points at R = 30, 6 wide at r = 25
+    n = 300
+    h = oracle._spacing(dim, 30.0, n)
+    diag, off2 = oracle._operator(dim, 0, pot, h, n)
+    r = h * np.arange(1, n + 1)
+    return diag - depth * np.exp(-((r - 25.0) / 3.0) ** 2), off2
+
+
+def _random_operator(seed):
+    rng = np.random.default_rng(seed)
+    diag, off = _random_tridiag(rng, 200)
+    return diag, off * off
+
+
+def _noisy_coulomb():
+    diag, off2 = _oracle_operator(3, 0, potentials.coulomb(), 30.0)
+    return diag + np.random.default_rng(7).uniform(-0.5, 0.5, diag.size), off2
+
+
+def _oracle_operator(dim, l, pot, radius, n=300):
+    return oracle._operator(dim, l, pot, oracle._spacing(dim, radius, n), n)
+
+
+_OPERATORS = {
+    "coulomb3d": lambda: _oracle_operator(3, 0, potentials.coulomb(), 30.0),
+    "coulomb3d_l2": lambda: _oracle_operator(3, 2, potentials.coulomb(), 40.0),
+    "harmonic3d": lambda: _oracle_operator(3, 1, potentials.harmonic(2.0),
+                                           8.0),
+    "linear3d": lambda: _oracle_operator(3, 0, potentials.power(1.0, 1.0),
+                                         16.0),
+    "donor2d": lambda: _oracle_operator(2, 0, potentials.donor(0.0, 0), 30.0),
+    "donor2d_gamma": lambda: _oracle_operator(2, 1, potentials.donor(50.0, 1),
+                                              6.0),
+    "harmonic2d": lambda: _oracle_operator(2, 0, potentials.harmonic(1.0),
+                                           10.0),
+    "far_bump": lambda: _with_far_feature(3, potentials.coulomb(), -5.0),
+    "far_well": lambda: _with_far_feature(3, potentials.coulomb(), 3.0),
+    "far_well2d": lambda: _with_far_feature(2, potentials.harmonic(0.05),
+                                            2.0),
+    "random": lambda: _random_operator(31),
+    "random_tail": _noisy_coulomb,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _operator_case(name):
+    diag, off2 = _OPERATORS[name]()
+    eigs = np.linalg.eigvalsh(_dense(diag, np.sqrt(off2)))
+    return diag, off2, eigs, oracle._pivmin(off2)
+
+
+def _shift(eigs, which, nudge, draw):
+    # an eigenvalue of the dense matrix moved by a few ulps or a fixed
+    # step, or a random shift across the spectrum and just below it
+    if which is None:
+        return draw(st.floats(eigs[0] - 5.0, eigs[min(12, eigs.size - 1)]
+                              + 1.0))
+    e = float(eigs[min(which, eigs.size - 1)])
+    if isinstance(nudge, int):
+        for _ in range(abs(nudge)):
+            e = math.nextafter(e, math.copysign(math.inf, nudge))
+        return e
+    return e + nudge
+
+
+@contextlib.contextmanager
+def _stride(rows):
+    # the tail bound tested every `rows` rows
+    kept = _kernels._STRIDE
+    _kernels._STRIDE = rows
+    try:
+        yield
+    finally:
+        _kernels._STRIDE = kept
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(name=st.sampled_from(sorted(_OPERATORS)),
+       which=st.one_of(st.none(), st.integers(0, 12)),
+       nudge=st.sampled_from([-3, -2, -1, 0, 1, 2, 3,
+                              -1e-6, 1e-6, -1e-3, 1e-3]),
+       limit=st.one_of(st.none(), st.integers(1, 14)),
+       stride=st.sampled_from([1, 7, 32]),
+       data=st.data())
+def test_settled_walk_gives_the_capped_full_count(name, which, nudge, limit,
+                                                  stride, data):
+    diag, off2, eigs, pivmin = _operator_case(name)
+    shift = _shift(eigs, which, nudge, data.draw)
+    full, q_full = _kernels.sturm_walk(diag, off2, shift, pivmin)
+    want = full if limit is None else min(full, limit)
+    tail = _kernels.tail_bounds(diag, off2)
+    split = data.draw(st.integers(1, diag.size - 1))
+    with _stride(stride):
+        count, q = _kernels.sturm_walk(diag, off2, shift, pivmin, limit=limit,
+                                       tail=tail)
+        assert count == want
+        if q is not None:
+            # a walk that did not settle is the full walk, bit for bit
+            assert (count, q) == (full, q_full)
+        # resumed at split, with the cap less what the head counted
+        head, q = _kernels.sturm_walk(diag, off2, shift, pivmin, stop=split,
+                                      limit=limit, tail=tail)
+        if q is not None:
+            rest = None if limit is None else limit - head
+            head += _kernels.sturm_walk(diag, off2, shift, pivmin, q=q,
+                                        start=split, limit=rest,
+                                        tail=tail)[0]
+        assert head == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(l=st.integers(0, 2),
+       pot=st.sampled_from(["coulomb", "harmonic", "donor"]),
+       which=st.one_of(st.none(), st.integers(0, 8)),
+       nudge=st.sampled_from([-3, -1, 0, 1, 3, -1e-6, 1e-6, -1e-3, 1e-3]),
+       limit=st.integers(1, 10),
+       stride=st.sampled_from([1, 32]),
+       data=st.data())
+def test_one_settled_head_serves_the_grid_and_the_box(l, pot, which, nudge,
+                                                      limit, stride, data):
+    # the oracle's 2D sharing: the N-point operator is the box's leading n
+    # rows with a larger last diagonal, and one head walk over rows 0..n-2,
+    # bounded by the box's tail, counts for both
+    potential = {"coulomb": potentials.donor(0.0, l),
+                 "harmonic": potentials.harmonic(1.5),
+                 "donor": potentials.donor(20.0, l)}[pot]
+    n = 201
+    h = oracle._spacing(2, 12.0, n)
+    box = oracle._operator(2, l, potential, h, round(1.5 * n))
+    grid = box[0][:n].copy(), box[1][:n - 1]
+    grid[0][-1] += oracle._outer_face(n, h)
+    pivmin = oracle._pivmin(grid[1])
+    eigs = np.linalg.eigvalsh(_dense(grid[0], np.sqrt(grid[1])))
+    shift = _shift(eigs, which, nudge, data.draw)
+    tail = _kernels.tail_bounds(*box)
+    with _stride(stride):
+        head, q = _kernels.sturm_walk(*grid, shift, pivmin, stop=n - 1,
+                                      limit=limit, tail=tail)
+        for op in (grid, box):
+            count = head
+            if q is not None:
+                count += _kernels.sturm_walk(*op, shift, pivmin, q=q,
+                                             start=n - 1, limit=limit - head,
+                                             tail=tail)[0]
+            assert count == min(_kernels.sturm_walk(*op, shift, pivmin)[0],
+                                limit)
+
+
+def test_tail_bound_settles_a_walk_below_the_spectrum():
+    # every pivot is positive far below the spectrum: the walk stops at
+    # its first test, having stepped no row
+    diag, off2, eigs, pivmin = _operator_case("coulomb3d")
+    tail = _kernels.tail_bounds(diag, off2)
+    shift = float(eigs[0]) - 100.0
+    assert _kernels.sturm_walk(diag, off2, shift, pivmin, tail=tail) == \
+        (0, None)
+    # a walk over no rows tests nothing and does not settle
+    assert _kernels.sturm_walk(diag, off2, shift, pivmin, tail=tail,
+                               stop=0) == (0, math.inf)
+
+
+def test_tail_bound_leaves_the_pivots_the_clamp_counts():
+    # decoupled rows whose pivots are positive but below pivmin: the clamp
+    # counts each, so no tail test may pass on a bound below pivmin
+    diag = np.array([1.0] * 40 + [1e-310] * 20)
+    off2 = np.zeros(diag.size - 1)
+    pivmin = np.finfo(np.float64).tiny
+    tail = _kernels.tail_bounds(diag, off2)
+    assert _kernels.sturm_walk(diag, off2, 0.0, pivmin, tail=tail) == \
+        _kernels.sturm_walk(diag, off2, 0.0, pivmin) == (20, -pivmin)
+
+
+def test_tail_bounds_are_suffix_extremes():
+    diag = np.array([3.0, 1.0, 4.0, 1.5, 9.0])
+    off2 = np.array([2.0, 7.0, 1.0, 0.5])
+    floor, dmin, cmax = _kernels.tail_bounds(diag, off2)
+    assert list(dmin) == [1.0, 1.0, 1.5, 1.5, 9.0]
+    # row i is entered through off2[i - 1]; row 0 takes the bound of row 1
+    assert list(cmax) == [7.0, 7.0, 7.0, 1.0, 0.5]
+    assert np.array_equal(np.asarray(floor),
+                          np.asarray(dmin) - 2.0 * np.sqrt(np.asarray(cmax)))
+    assert list(_kernels.tail_bounds(np.array([2.0]), np.array([]))[2]) == \
+        [0.0]

@@ -232,8 +232,9 @@ def test_larger_box_keeps_the_grid_spacing(dim, l, n):
 
 
 def test_box_shift_below_the_search_resolution_reads_zero():
-    # hydrogen 1s at R = 40 moves by about e^-80 in the larger box: both
-    # levels fall in one cell of the final pass, whose midpoint both take
+    # hydrogen 1s at R = 40 moves by about e^-80 in the larger box: the two
+    # bisections read the same counts at every shift, so they probe the
+    # same shifts and return the same midpoint
     res = oracle.eigenvalue(3, 0, 0, potentials.coulomb())
     assert res.box_shift == 0.0
 
@@ -320,36 +321,49 @@ def test_window_takes_the_last_three_points():
 
 
 def test_golden_case_row_budget(monkeypatch):
-    # the golden validate case takes at most 30 N one-shift row steps in
+    # the golden validate case takes at most 10 N one-shift row steps in
     # all: three coarse grids, the N-point bisection, the larger box's own
     # rows, and the h/2 grid. Every walk, sturm_counts' included, goes
-    # through _kernels.sturm_walk, or oracle's name for it
+    # through _kernels.sturm_walk, or oracle's name for it. A walk that
+    # settles steps no more rows than the shortest walk from its start
+    # that settles too, which bisection on stop finds
     steps = []
     walk = _kernels.sturm_walk
 
-    def counted_walk(diag, off2, shift, pivmin, q=None, start=0, stop=None):
-        steps.append(((len(diag) if stop is None else stop) - start)
-                     * np.size(shift))
-        return walk(diag, off2, shift, pivmin, q=q, start=start, stop=stop)
+    def counted_walk(diag, off2, shift, pivmin, q=None, start=0, stop=None,
+                     limit=None, tail=None):
+        def settles(end):
+            return walk(diag, off2, shift, pivmin, q=q, start=start, stop=end,
+                        limit=limit, tail=tail)[1] is None
+
+        lo, hi = start, len(diag) if stop is None else stop
+        if settles(hi):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if settles(mid) else (mid, hi)
+        steps.append(hi - start)
+        return walk(diag, off2, shift, pivmin, q=q, start=start, stop=stop,
+                    limit=limit, tail=tail)
 
     monkeypatch.setattr(_kernels, "sturm_walk", counted_walk)
     monkeypatch.setattr(oracle, "sturm_walk", counted_walk)
     n = 1500
     cfg = oracle.OracleConfig(box_radius=20.0, grid_points=n)
     oracle.eigenvalue(3, 0, 0, potentials.coulomb(), cfg)
-    assert 0 < sum(steps) <= 30 * n
+    assert 0 < sum(steps) <= 10 * n
 
 
 def test_golden_case_walks_each_count_once(monkeypatch):
-    # counts are kept by shift, so a pass's ends, which are probes of the
-    # pass before, are not walked again, nor are the N-point rows the
-    # larger box goes on from
+    # a window keeps the count of the end it moves from, and the N-point
+    # rows the larger box goes on from are walked once per shift
     walks = []
     walk = oracle.sturm_walk
 
-    def recorded(diag, off2, shift, pivmin, q=None, start=0, stop=None):
+    def recorded(diag, off2, shift, pivmin, q=None, start=0, stop=None,
+                 limit=None, tail=None):
         walks.append((len(diag), start, stop, shift))
-        return walk(diag, off2, shift, pivmin, q=q, start=start, stop=stop)
+        return walk(diag, off2, shift, pivmin, q=q, start=start, stop=stop,
+                    limit=limit, tail=tail)
 
     monkeypatch.setattr(oracle, "sturm_walk", recorded)
     cfg = oracle.OracleConfig(box_radius=20.0, grid_points=1500)
@@ -416,7 +430,7 @@ def _coulomb_operator(n=300):
     (1, 2.5e-6, (-5.0, -4.0)),  # seeded below it
     (0, 1e-300 / 4, (-1.05, -0.95)),  # stops at float resolution
 ])
-def test_bisected_lattice_returns_the_multisection_float(k, tol, window):
+def test_search_returns_the_bisection_float(k, tol, window):
     diag, off2 = _coulomb_operator()
     got = oracle._kth_eigenvalue(diag, off2, k, tol, window)
     assert got == _bisection(diag, off2, k, tol, window)
@@ -438,10 +452,25 @@ def test_a_moving_window_counts_each_shift_once(window):
     assert len(set(shifts)) == len(shifts)
 
 
-@pytest.mark.parametrize("window", [None, (-1.05, -0.95)])
-def test_escaped_index_reports_the_multisection_counts(window):
+def _clamped_bottom():
+    # a diagonal matrix whose least entry, 0, lies within pivmin of the
+    # Gershgorin lower end: the clamp counts it there, so the count at that
+    # end exceeds k = 0, and the search caps the counts it reads at 1
+    diag = np.arange(50, dtype=float)
+    return (diag, np.zeros(diag.size - 1)), 0
+
+
+def _past_the_top():
+    # an index beyond the matrix: no count reaches it
     diag, off2 = _coulomb_operator(120)
-    k = diag.size + 3
+    return (diag, off2), diag.size + 3
+
+
+@pytest.mark.parametrize("case", [_past_the_top, _clamped_bottom],
+                         ids=["past_the_top", "clamped_bottom"])
+@pytest.mark.parametrize("window", [None, (-1.05, -0.95)])
+def test_escaped_index_reports_the_full_counts(window, case):
+    (diag, off2), k = case()
     with pytest.raises(OracleError) as want:
         _bisection(diag, off2, k, 2.5e-6, window)
     with pytest.raises(OracleError, match=r"\(counts \d+, \d+\)") as got:
