@@ -47,9 +47,8 @@ probes the same shifts and returns the same float with them as without.
   once per operator. If a > 2 sqrt(C), the map q -> a - C/q is increasing
   and maps [q-, q+], the interval between its fixed points, into itself,
   so from q >= q- on no q is negative and the count is final. The walk
-  tests this every _STRIDE rows from the first row whose floor
-  dmin - 2 sqrt(cmax), which never decreases, lies above the shift (found
-  by bisection), in the form: with t = min(q, a/2), t >= pivmin and
+  tests this every _STRIDE rows from its first row (where a fresh walk's
+  q is inf), in the form: with t = min(q, a/2), t >= pivmin and
   a - C/t >= t. t = a/2 lies in [q-, q+] whenever a^2 >= 4C, so up to
   rounding the test passes for every q >= q-. It needs no margin
   because it is made with the walk's own float operations, and IEEE
@@ -62,7 +61,6 @@ from __future__ import annotations
 
 import importlib.util
 import math
-from bisect import bisect_right
 from itertools import chain, islice
 
 import numpy as np
@@ -85,10 +83,10 @@ def sturm_counts(diag, off2, shifts, pivmin):
 
 
 def tail_bounds(diag, off2):
-    """(floor, dmin, cmax), by row i: the least diagonal of rows i and
-    beyond, the greatest off2 that enters them, and dmin - 2 sqrt(cmax),
-    which never decreases with i. One set per operator serves every walk
-    on it, and on any operator whose rows it bounds."""
+    """(dmin, cmax), by row i: the least diagonal of rows i and beyond, and
+    the greatest off2 that enters them. One pair per operator serves every
+    walk on it, and on any operator whose rows it bounds; a walk tests them
+    every _STRIDE rows from its first row."""
     diag = np.asarray(diag, dtype=np.float64)
     off2 = np.asarray(off2, dtype=np.float64)
     dmin = np.minimum.accumulate(diag[::-1])[::-1].copy()
@@ -96,8 +94,7 @@ def tail_bounds(diag, off2):
     if off2.size:
         cmax[1:] = np.maximum.accumulate(off2[::-1])[::-1]
         cmax[0] = cmax[1]
-    return (memoryview(dmin - 2.0 * np.sqrt(cmax)), memoryview(dmin),
-            memoryview(cmax))
+    return memoryview(dmin), memoryview(cmax)
 
 
 def sturm_walk(diag, off2, shift, pivmin, q=None, start=0, stop=None,
@@ -130,10 +127,8 @@ def sturm_walk(diag, off2, shift, pivmin, q=None, start=0, stop=None,
     if tail is None:
         tests = ()
     else:
-        # before the first row whose floor lies above the shift, no test
-        # can pass
-        floor, dmin, cmax = tail
-        tests = range(max(start, bisect_right(floor, shift)), stop, _STRIDE)
+        dmin, cmax = tail
+        tests = range(start, stop, _STRIDE)
     count, row = 0, start
     for edge in chain(tests, (stop,)):
         for d, c in islice(rows, edge - row):

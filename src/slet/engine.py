@@ -244,22 +244,30 @@ def _lbar_equation_with_slope(problem: SletProblem, r: float):
     InvalidExpansionPointError where F is undefined.
     """
     c = _jet_at(problem, r).coeffs
-    vp, vpp, vppp = c[1], 2.0 * c[2], 6.0 * c[3]
-    g = 3.0 + r * vpp / vp if vp > 0 else math.nan
+    vp = c[1]
+    g = 3.0 + r * (2.0 * c[2]) / vp if vp > 0 else math.nan
     if not g > 0:
         raise InvalidExpansionPointError(
             f"equation not evaluable at r = {r}: V' = {vp}, "
             f"3 + r V''/V' = {g}")
-    s = math.sqrt(r**3 * vp / 2.0)
-    f = s - problem.l_eff + _shift(problem.n_radial, 2.0 * math.sqrt(g))
+    f, fp = _equation(c, r, math.sqrt(r**3 * vp / 2.0), 2.0 * math.sqrt(g),
+                      problem.l_eff, problem.n_radial)
     if not math.isfinite(f):
         raise InvalidExpansionPointError(
             f"equation not evaluable at r = {r}: F = {f}")
+    return f, fp
+
+
+def _equation(c, r, s, w, l, n):
+    """F and F' from the jet's coefficients c at r, s = sqrt(r^3 V'/2) and
+    w = 2 sqrt(g), on floats and arrays alike; 0.5 w is sqrt(g) to the
+    bit."""
+    vp, vpp, vppp = c[1], 2.0 * c[2], 6.0 * c[3]
     q = vpp / vp
     dg = q + r * vppp / vp - r * q * q
-    dbeta = -(problem.n_radial + 0.5) / 2.0
-    fp = (3.0 * r * r * vp + r**3 * vpp) / (4.0 * s) + dbeta * dg / math.sqrt(g)
-    return f, fp
+    dbeta = -(n + 0.5) / 2.0
+    fp = (3.0 * r * r * vp + r**3 * vpp) / (4.0 * s) + dbeta * dg / (0.5 * w)
+    return s - l + _shift(n, w), fp
 
 
 def _polish_root(problem: SletProblem, lo, hi, flo, fhi) -> float:
@@ -508,16 +516,8 @@ def _equation_with_slope_arrays(potential, l, n, r):
     with their own l and n, from one array jet. F is not finite on a lane
     where the scalar form raises."""
     c = potential.eval_jet(r).coeffs
-    vp, vpp, vppp = c[1], 2.0 * c[2], 6.0 * c[3]
-    w = _frequency(r, vp, c[2])
-    s = np.sqrt(r**3 * vp / 2.0)
-    f = s - l + _shift(n, w)
-    q = vpp / vp
-    dg = q + r * vppp / vp - r * q * q
-    dbeta = -(n + 0.5) / 2.0
-    # 0.5 w is sqrt(g) to the bit
-    fp = (3.0 * r * r * vp + r**3 * vpp) / (4.0 * s) + dbeta * dg / (0.5 * w)
-    return f, fp
+    w = _frequency(r, c[1], c[2])
+    return _equation(c, r, np.sqrt(r**3 * c[1] / 2.0), w, l, n)
 
 
 def _polish_roots(potential, l, n, lo, hi, flo, fhi, tol):

@@ -23,7 +23,8 @@ class SingularityError(SletError):
 class ParseError(SletError):
     """Expression text rejected by the lexer or parser.
 
-    offset is the 0-based byte position of the offending character/token.
+    offset is the 0-based index of the offending character/token into the
+    source text; it is a byte offset only for ASCII text.
     """
 
     def __init__(self, message: str, offset: int):

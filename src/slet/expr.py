@@ -5,6 +5,16 @@ the operators + - * / ^ (with ** accepted as a synonym for ^), unary minus,
 parentheses, and the functions ln, exp, sqrt, sin, cos. Precedence, tightest
 first: ^ (right associative), unary -, * /, + -. Whitespace is insignificant.
 
+Three tables define the language: _TOKEN, the token pattern; _BINARY, the
+operators' precedences; _FUNCTIONS, each function's forms. Tokens: a
+number starts with a decimal digit, or a point before one, goes on
+through digits and points, and takes an exponent (e or E, an optional
+sign, digits) only where digits follow it; a number that float() rejects,
+such as 1.2.3, is an error. An identifier is a word character that is no
+decimal digit, then word characters: letters of any script, _, and
+numerals that are no decimal digit, such as the 2 of x². Whitespace is
+what str.isspace() accepts.
+
 An expression nests at most _MAX_DEPTH levels deep, where every operator,
 function call and parenthesised group is one level; the recursive walkers
 below rely on that bound.
@@ -12,13 +22,15 @@ below rely on that bound.
 evaluate() walks floats, arrays and Jets alike. Numbers stay numbers, so
 a Jet is built only in the subtrees that contain r.
 
-Every parse failure carries the 0-based byte offset of the offending token.
+Every parse failure carries the 0-based offset of the offending token: an
+index into the source text, which is a byte offset only for ASCII text.
 AST nodes also record their offset so later stages (unbound parameter checks)
 can point back into the source text. Offsets never participate in equality:
 parse(to_string(ast)) == ast is the round-trip contract.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,13 +38,16 @@ import numpy as np
 from . import jets
 from .errors import ParseError
 
-FUNCTIONS = ("ln", "exp", "sqrt", "sin", "cos")
+# function name -> (form on a Jet, form on floats and arrays)
+_FUNCTIONS = {"ln": (jets.ln, np.log), "exp": (jets.exp, np.exp),
+              "sqrt": (jets.sqrt, np.sqrt), "sin": (jets.sin, np.sin),
+              "cos": (jets.cos, np.cos)}
+FUNCTIONS = tuple(_FUNCTIONS)
 VARIABLE = "r"
 
-_PREC_ADD = 10
-_PREC_MUL = 20
+# binary operator -> precedence; ^ is right associative, the rest left
+_BINARY = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _PREC_NEG = 25
-_PREC_POW = 30
 
 # real potentials nest fewer than 20 levels deep
 _MAX_DEPTH = 100
@@ -81,54 +96,31 @@ class Call:
 
 # -- lexer --------------------------------------------------------------
 
-_OPS = {"+", "-", "*", "/", "^", "(", ")"}
+# whitespace, or one token: a number, an identifier, an operator (** is ^),
+# or any other character, which is an error
+_TOKEN = re.compile(r"""\s+
+    | (?P<num> \.?\d[\d.]* (?:[eE][+-]?\d+)? )
+    | (?P<ident> [^\W\d]\w* )
+    | (?P<op> \*\* | [-+*/^()] )
+    | (?P<bad> . )""", re.VERBOSE)
 
 
 def _lex(src: str):
-    tokens = []  # (kind, text, offset); kind in {num, ident, op}
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
+    tokens = []  # (kind, text, offset); kind in {num, ident, op, end}
+    for m in _TOKEN.finditer(src):
+        kind, text, off = m.lastgroup, m.group(), m.start()
+        if kind == "num":
             try:
-                value = float(text)
+                text = float(text)
             except ValueError:
-                raise ParseError(f"bad number literal {text!r}", i) from None
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("ident", src[i:j], i))
-            i = j
-            continue
-        if c == "*" and i + 1 < n and src[i + 1] == "*":
-            tokens.append(("op", "^", i))
-            i += 2
-            continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+                raise ParseError(f"bad number literal {text!r}", off) from None
+        elif kind == "op" and text == "**":
+            text = "^"
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", off)
+        if kind:
+            tokens.append((kind, text, off))
+    tokens.append(("end", "", len(src)))
     return tokens
 
 
@@ -172,10 +164,7 @@ class _Parser:
         lhs, height = self.unary()
         while True:
             kind, text, off = self.peek()
-            if kind != "op" or text not in "+-*/^":
-                break
-            prec = (_PREC_POW if text == "^"
-                    else _PREC_MUL if text in "*/" else _PREC_ADD)
+            prec = _BINARY.get(text, -1) if kind == "op" else -1
             if prec < min_prec:
                 break
             self.advance()
@@ -231,7 +220,8 @@ def _check_depth(depth, off):
 
 
 def parse(src: str):
-    """Parse source text into an AST. Raises ParseError with a byte offset."""
+    """Parse source text into an AST. Raises ParseError with the offending
+    token's offset, an index into `src`."""
     if not src.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_lex(src))
@@ -247,8 +237,7 @@ def parse(src: str):
 
 def _prec_of(node) -> int:
     if isinstance(node, BinOp):
-        return (_PREC_POW if node.op == "^"
-                else _PREC_MUL if node.op in "*/" else _PREC_ADD)
+        return _BINARY[node.op]
     if isinstance(node, Neg):
         return _PREC_NEG
     return 100
@@ -318,12 +307,6 @@ def param_names(node):
     return {p.name for p in param_refs(node)}
 
 
-_JET_FUNCS = {"ln": jets.ln, "exp": jets.exp, "sqrt": jets.sqrt,
-              "sin": jets.sin, "cos": jets.cos}
-_NUM_FUNCS = {"ln": np.log, "exp": np.exp, "sqrt": np.sqrt,
-              "sin": np.sin, "cos": np.cos}
-
-
 def evaluate(node, rval, params):
     """Evaluate the AST at `rval`: a float, an ndarray or a Jet.
 
@@ -377,11 +360,12 @@ def evaluate(node, rval, params):
             return -ev(nd.arg)
         if isinstance(nd, Call):
             x = ev(nd.arg)
+            on_jet, on_number = _FUNCTIONS[nd.fn]
             if isinstance(x, jets.Jet):
-                return _JET_FUNCS[nd.fn](x)
+                return on_jet(x)
             if nd.fn in ("ln", "sqrt"):
                 jets._check_positive(nd.fn, x)
-            return _NUM_FUNCS[nd.fn](x)
+            return on_number(x)
         raise TypeError(f"not an AST node: {nd!r}")
 
     return ev(node)

@@ -135,9 +135,14 @@ def donor(gamma, m) -> Potential:
 def expression(src: str, params: Mapping[str, float] | None = None) -> Potential:
     """Potential from expression source text. Every parameter referenced in
     the source must appear in `params`; the first unbound reference is
-    reported with its byte offset. A parameter that is not finite is a
-    DomainError."""
+    reported with its offset into the source text. A parameter that is not
+    finite, or is named after the variable or a function, which the source
+    could never reference, is a DomainError."""
     params = {k: _finite(k, v) for k, v in (params or {}).items()}
+    for name in params:
+        if name == expr.VARIABLE or name in expr.FUNCTIONS:
+            raise DomainError(f"parameter name {name!r} is reserved by the "
+                              "expression language")
     ast = expr.parse(src)
     for ref in expr.param_refs(ast):
         if ref.name not in params:

@@ -754,6 +754,17 @@ def test_non_finite_expression_parameter_exits_2(capsys, value):
     assert err == f"error: Z must be finite, got {float(value)}\n"
 
 
+@pytest.mark.parametrize("name", ["r", "exp"])
+def test_reserved_expression_parameter_name_exits_2(capsys, name):
+    # at r = 3 the run would otherwise solve r^2 and print it as a success
+    rc, out, err = run_cli(capsys, "solve", "--dim", "3", "--potential",
+                           "r^2", "--param", f"{name}=3", "--l", "0",
+                           "--nr", "0")
+    assert (rc, out) == (2, "")
+    assert err == (f"error: parameter name {name!r} is reserved by the "
+                   "expression language\n")
+
+
 _HUGE = "1" + "0" * 400
 
 

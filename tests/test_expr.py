@@ -68,6 +68,34 @@ def test_errors_carry_offsets(src, offset, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("src,expected", [
+    ("1.2.3", "bad number literal '1.2.3' (offset 0)"),
+    ("2e", [("num", 2.0, 0), ("ident", "e", 1)]),
+    ("2e+", [("num", 2.0, 0), ("ident", "e", 1), ("op", "+", 2)]),
+    ("2e+3", [("num", 2000.0, 0)]),
+    ("5.", [("num", 5.0, 0)]),
+    (".5", [("num", 0.5, 0)]),
+    (".", "unexpected character '.' (offset 0)"),
+    ("1e5e5", [("num", 1e5, 0), ("ident", "e5", 3)]),
+    ("***", [("op", "^", 0), ("op", "*", 2)]),
+    ("1_000", [("num", 1.0, 0), ("ident", "_000", 1)]),
+    # \x1c is whitespace to str.isspace, as \t is
+    ("\x1c2\t*r", [("num", 2.0, 1), ("op", "*", 3), ("ident", "r", 4)]),
+    ("αβ*r", [("ident", "αβ", 0), ("op", "*", 2), ("ident", "r", 3)]),
+    # a numeral that is no decimal digit is a word character: it may
+    # start an identifier, as it may continue one
+    ("²", [("ident", "²", 0)]),
+    ("r²", [("ident", "r²", 0)]),
+])
+def test_lexer_edge_cases(src, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as err:
+            expr._lex(src)
+        assert str(err.value) == expected
+    else:
+        assert expr._lex(src) == expected + [("end", "", len(src))]
+
+
 def test_unbound_parameter_reports_reference_offset():
     ast = expr.parse("A*r + B")
     with pytest.raises(ParseError) as err:

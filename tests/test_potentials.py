@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slet import potentials
+from slet import expr, potentials
 from slet.errors import DomainError, ParseError, SletError
 
 
@@ -121,6 +121,15 @@ def test_harmonic_jet_overflows_to_inf():
     # B^2 overflows as the spelled B^2*r^2/4 does, without an exception
     jet = potentials.harmonic(1e200).eval_jet(1.0)
     assert jet.coeffs[:3] == (math.inf,) * 3
+
+
+@pytest.mark.parametrize("name", [expr.VARIABLE, *expr.FUNCTIONS])
+def test_expression_refuses_a_reserved_parameter_name(name):
+    # r always reads as the variable and exp as the function: such a
+    # parameter could never be referenced, and would be silently ignored
+    with pytest.raises(DomainError, match=f"parameter name '{name}' is "
+                       "reserved by the expression language$"):
+        potentials.expression("r^2", {name: 3.0})
 
 
 def test_expression_requires_bound_parameters():
