@@ -4,6 +4,10 @@ Four subcommands: `solve` (one level, full breakdown), `spectrum` (grid of
 quantum numbers), `sweep` (donor energy vs magnetic field), `validate`
 (expansion vs finite-difference oracle). Output formats: json (one top-level
 object), csv (RFC 4180, 17 significant digits), table (human-readable).
+One renderer, `_render`, writes every subcommand's output: csv and json
+from rows of cells (json from a payload where one is given), the table
+from the rows aligned in columns or from a listing of (label, value)
+pairs, which `solve` and `validate` give.
 
 Exit codes: 0 success, 2 bad flags or inputs (among them a builtin
 parameter out of its range, such as a donor m that is not a finite integer,
@@ -42,9 +46,8 @@ _LEVEL_COLS = dict(zip(("r0", "w", "beta", "lbar", "E0", "E2term", "E3term",
                         "E_total"), engine.LEVEL_FIELDS))
 _SOLVE_COLS = ("l", "nr", *_LEVEL_COLS)
 _SWEEP_COLS = ("gamma", "E_total", "E0", "E2term", "E3term")
-_VALIDATE_COLS = ("E_slet", "E_oracle", "E_oracle_refined",
-                  "E_oracle_extrapolated", "box_shift", "converged",
-                  "abs_diff", "rel_diff", "error")
+# the solve table's label of a breakdown field, where it is not the name
+_SOLVE_LABELS = {"E2_over_lbar2": "E2 term", "E3_over_lbar3": "E3 term"}
 
 # the most rows one sweep may ask for; a larger grid is a usage error
 _MAX_GAMMA_ROWS = 10**6
@@ -169,12 +172,22 @@ def _parse_gamma_grid(text: str):
     return [lo + i * step for i in range(int(span) + 1)]
 
 
-def _render(args, argv, columns, rows, payload, lines) -> None:
-    """Write a run's result in --format to --out or stdout.
+def _listing(width, pairs) -> list:
+    """Table lines of (label, value) pairs, each value from column `width`
+    on; a tuple's values are joined by ", "."""
+    return [f"{label:<{width}}" + (", ".join(map(_fmt, v))
+                                   if isinstance(v, tuple) else _fmt(v))
+            for label, v in pairs]
 
-    `rows` are sequences of raw values in the order of `columns`. JSON
-    shows `payload`, or else the rows; the table shows `lines`, or else
-    the rows aligned in columns.
+
+def _render(args, argv, columns, rows, payload=None, listing=None) -> None:
+    """Write a run's result in --format to --out or stdout; the one place
+    that lays out every subcommand's output.
+
+    `rows` are sequences of raw values in the order of `columns`, and csv
+    shows them. JSON shows `payload`, or else the rows. The table shows
+    `listing`, a label width and (label, value) pairs, or else the rows
+    aligned in columns.
     """
     ts = datetime.now(timezone.utc).isoformat()
     header = [] if args.no_header else [f"# generated {ts} slet {__version__}"]
@@ -192,7 +205,9 @@ def _render(args, argv, columns, rows, payload, lines) -> None:
         writer.writerows([_fmt(v) for v in row] for row in rows)
         text = "".join(h + "\r\n" for h in header) + buf.getvalue()
     else:
-        if lines is None:
+        if listing is not None:
+            lines = _listing(*listing)
+        else:
             cells = [[_fmt(v) for v in row] for row in rows]
             widths = [max([len(c)] + [len(r[i]) for r in cells])
                       for i, c in enumerate(columns)]
@@ -221,6 +236,18 @@ def _solved_rows(keys, cols, solved) -> list:
             for key, cells, err in zip(keys, values, errors)]
 
 
+def _problem_from(args) -> engine.SletProblem:
+    """The one level a solve or validate run asks for, with its settings."""
+    _check_quantum("l", args.l)
+    _check_quantum("nr", args.nr)
+    settings = _settings_from(args)
+    pot = _potential_from(args.potential, args.param)
+    try:
+        return engine.SletProblem(args.dim, args.l, args.nr, pot, settings)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _record(args, settings, bd, res) -> dict:
     """The problem, breakdown and oracle members of a solve or validate run;
     every field is immutable, so shallow copies of the dataclasses serve."""
@@ -240,43 +267,16 @@ def _record(args, settings, bd, res) -> dict:
 
 
 def _cmd_solve(args, argv) -> int:
-    _check_quantum("l", args.l)
-    _check_quantum("nr", args.nr)
-    settings = _settings_from(args)
-    pot = _potential_from(args.potential, args.param)
-    try:
-        problem = engine.SletProblem(args.dim, args.l, args.nr, pot, settings)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    problem = _problem_from(args)
     bd = engine.solve(problem)
-    record = _record(args, settings, bd, None)
-    lines = [
-        f"dim        {args.dim}",
-        f"potential  {args.potential}",
-        f"params     {record['problem']['params']}",
-        f"l          {args.l}",
-        f"nr         {args.nr}",
-        f"r0         {_fmt(bd.r0)}",
-        f"w          {_fmt(bd.w)}",
-        f"beta       {_fmt(bd.beta)}",
-        f"lbar       {_fmt(bd.lbar)}",
-        f"Q          {_fmt(bd.Q)}",
-        f"E0         {_fmt(bd.E0)}",
-        f"E1         {_fmt(bd.E1)}",
-        f"E2 term    {_fmt(bd.E2_over_lbar2)}",
-        f"E3 term    {_fmt(bd.E3_over_lbar3)}",
-        f"E_total    {_fmt(bd.E_total)}",
-        f"alpha1     {_fmt(bd.alpha1)}",
-        f"alpha2     {_fmt(bd.alpha2)}",
-        "eps        " + ", ".join(_fmt(v) for v in bd.eps),
-        "dlt        " + ", ".join(_fmt(v) for v in bd.dlt),
-        "e          " + ", ".join(_fmt(v) for v in bd.e),
-        "d          " + ", ".join(_fmt(v) for v in bd.d),
-        "candidates " + "; ".join(
-            f"r0={_fmt(r)} E0={_fmt(e0)}" for r, e0 in bd.candidates),
-    ]
+    record = _record(args, problem.solver, bd, None)
+    fields = {**record["breakdown"], "candidates": "; ".join(
+        f"r0={_fmt(r)} E0={_fmt(e0)}" for r, e0 in bd.candidates)}
+    pairs = [*((k, record["problem"][k])
+               for k in ("dim", "potential", "params", "l", "nr")),
+             *((_SOLVE_LABELS.get(k, k), v) for k, v in fields.items())]
     row = (args.l, args.nr, *(getattr(bd, f) for f in engine.LEVEL_FIELDS))
-    _render(args, argv, _SOLVE_COLS, [row], record, lines)
+    _render(args, argv, _SOLVE_COLS, [row], record, (11, pairs))
     return 0
 
 
@@ -293,7 +293,7 @@ def _cmd_spectrum(args, argv) -> int:
               for nr in range(n_lo, n_hi + 1)]
     rows = _solved_rows(levels, _LEVEL_COLS,
                         engine.solve_levels(args.dim, pot, levels, settings))
-    _render(args, argv, _SOLVE_COLS + ("error",), rows, None, None)
+    _render(args, argv, _SOLVE_COLS + ("error",), rows)
     return 0
 
 
@@ -312,15 +312,12 @@ def _cmd_sweep(args, argv) -> int:
     solved = engine.solve_levels(2, pot, [(abs(args.m), args.nr)] * len(grid),
                                  settings)
     rows = _solved_rows([(g,) for g in grid], _SWEEP_COLS[1:], solved)
-    _render(args, argv, _SWEEP_COLS + ("error",), rows, None, None)
+    _render(args, argv, _SWEEP_COLS + ("error",), rows)
     return 0
 
 
 def _cmd_validate(args, argv) -> int:
-    _check_quantum("l", args.l)
-    _check_quantum("nr", args.nr)
-    settings = _settings_from(args)
-    pot = _potential_from(args.potential, args.param)
+    problem = _problem_from(args)
     try:
         cfg = oracle.OracleConfig(box_radius=args.oracle_R,
                                   grid_points=args.oracle_N,
@@ -330,7 +327,6 @@ def _cmd_validate(args, argv) -> int:
 
     bd = err_slet = None
     try:
-        problem = engine.SletProblem(args.dim, args.l, args.nr, pot, settings)
         bd = engine.solve(problem)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -339,7 +335,8 @@ def _cmd_validate(args, argv) -> int:
 
     res = err_oracle = None
     try:
-        res = oracle.eigenvalue(args.dim, args.l, args.nr, pot, cfg)
+        res = oracle.eigenvalue(args.dim, args.l, args.nr, problem.potential,
+                                cfg)
     except SletError as exc:
         err_oracle = str(exc)
 
@@ -352,40 +349,32 @@ def _cmd_validate(args, argv) -> int:
             "rel_diff": abs(diff) / denom if denom else float("inf"),
         }
 
-    payload = {**_record(args, settings, bd, res), "comparison": comparison,
+    payload = {**_record(args, problem.solver, bd, res),
+               "comparison": comparison,
                "errors": {"slet": err_slet, "oracle": err_oracle}}
-    row = (  # in the order of _VALIDATE_COLS
-        bd and bd.E_total,
-        res and res.energy,
-        res and res.energy_refined,
-        res and res.energy_extrapolated,
-        res and res.box_shift,
-        res and str(res.converged).lower(),
-        comparison and comparison["abs_diff"],
-        comparison and comparison["rel_diff"],
-        "; ".join(e for e in (err_slet, err_oracle) if e),
-    )
-    lines = []
-    if bd is not None:
-        lines.append(f"SLET E_total         {_fmt(bd.E_total)}")
-    else:
-        lines.append(f"SLET failed          {err_slet}")
-    if res is not None:
-        lines += [
-            f"oracle energy        {_fmt(res.energy)}",
-            f"oracle refined       {_fmt(res.energy_refined)}",
-            f"oracle extrapolated  {_fmt(res.energy_extrapolated)}",
-            f"oracle box shift     {_fmt(res.box_shift)}",
-            f"oracle converged     {res.converged}",
-        ]
-    else:
-        lines.append(f"oracle failed        {err_oracle}")
+    cells = {  # the csv row, by column
+        "E_slet": bd and bd.E_total,
+        "E_oracle": res and res.energy,
+        "E_oracle_refined": res and res.energy_refined,
+        "E_oracle_extrapolated": res and res.energy_extrapolated,
+        "box_shift": res and res.box_shift,
+        "converged": res and str(res.converged).lower(),
+        "abs_diff": comparison and comparison["abs_diff"],
+        "rel_diff": comparison and comparison["rel_diff"],
+        "error": "; ".join(e for e in (err_slet, err_oracle) if e),
+    }
+    pairs = [("SLET E_total", bd.E_total) if bd else ("SLET failed", err_slet)]
+    pairs += [("oracle energy", res.energy),
+              ("oracle refined", res.energy_refined),
+              ("oracle extrapolated", res.energy_extrapolated),
+              ("oracle box shift", res.box_shift),
+              ("oracle converged", res.converged),
+              ] if res else [("oracle failed", err_oracle)]
     if comparison is not None:
-        lines += [
-            f"abs diff             {_fmt(comparison['abs_diff'])}",
-            f"rel diff             {_fmt(comparison['rel_diff'])}",
-        ]
-    _render(args, argv, _VALIDATE_COLS, [row], payload, lines)
+        pairs += [("abs diff", comparison["abs_diff"]),
+                  ("rel diff", comparison["rel_diff"])]
+    _render(args, argv, tuple(cells), [tuple(cells.values())], payload,
+            (21, pairs))
     return 3 if (err_slet or err_oracle) else 0
 
 

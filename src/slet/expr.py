@@ -247,9 +247,9 @@ def to_string(node) -> str:
     """Render an AST back to source with minimal parentheses."""
     if isinstance(node, Num):
         v = node.value
-        if v == int(v) and abs(v) < 1e16:
+        if abs(v) < 1e16 and v == int(v):
             return repr(int(v))
-        return repr(v)
+        return "1e999" if v == np.inf else repr(v)  # 1e999 lexes back to inf
     if isinstance(node, Var):
         return VARIABLE
     if isinstance(node, Param):

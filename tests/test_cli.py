@@ -734,6 +734,22 @@ def test_builtin_parameter_that_overflows_fails_as_its_spelling(capsys):
         assert all(row[-1] == _NO_RISE for row in rows)
 
 
+def test_validate_table_when_only_the_expansion_fails(capsys):
+    # V = -r never rises, so only the oracle gives numbers: a "SLET failed"
+    # line, the five oracle lines and no comparison
+    rc, out, err = run_cli(capsys, "validate", "--dim", "3", "--potential=-r",
+                           "--l", "0", "--nr", "0", "--oracle-N", "500",
+                           "--oracle-R", "10", "--no-header")
+    assert rc == 3 and err == ""
+    assert out.splitlines() == [
+        f"SLET failed          {_NO_RISE}",
+        "oracle energy        -7.6619290032418164",
+        "oracle refined       -7.6619005288451216",
+        "oracle extrapolated  -7.661891037379557",
+        "oracle box shift     -5.0099805160077509",
+        "oracle converged     False"]
+
+
 @pytest.mark.parametrize("cmd", ["solve", "validate"])
 @pytest.mark.parametrize("m", ["inf", "-inf", "nan"])
 def test_donor_m_that_is_no_finite_integer_exits_2(capsys, cmd, m):

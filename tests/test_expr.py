@@ -168,6 +168,8 @@ ROUND_TRIP_CORPUS = [
     "exp(-r)*sin(r)",
     "0.5*r^0.5",
     "1e-3*r + 2e+16",
+    "1e999 + r",
+    "r^1e999",
 ]
 
 
