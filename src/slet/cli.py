@@ -37,7 +37,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__, engine, oracle, potentials
-from .errors import SletError
+from .errors import SletError, require_index
 
 _TERM_BY_FLAG = {0: engine.TERM_E0, 2: engine.TERM_E2, 3: engine.TERM_E3}
 
@@ -64,6 +64,15 @@ class _UsageError(Exception):
 
 
 # -- small helpers -----------------------------------------------------------
+
+
+def _usage(make, *args, **kwargs):
+    """make(*args, **kwargs), where a library check's ValueError is a usage
+    error, exit 2."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _fmt(v) -> str:
@@ -113,10 +122,8 @@ def _load_config(path) -> dict:
 
 def _settings_from(args) -> engine.SolverSettings:
     cfg = _load_config(args.config) if args.config else {}
-    try:
-        return engine.SolverSettings(term_order=_TERM_BY_FLAG[args.terms], **cfg)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return _usage(engine.SolverSettings, term_order=_TERM_BY_FLAG[args.terms],
+                  **cfg)
 
 
 def _potential_from(text: str, param_pairs) -> potentials.Potential:
@@ -125,13 +132,6 @@ def _potential_from(text: str, param_pairs) -> potentials.Potential:
         return potentials.from_name_or_source(text, params)
     except SletError as exc:  # bad name, bad expression, bad parameters
         raise _UsageError(str(exc)) from None
-
-
-def _check_quantum(name: str, value: int):
-    if value < 0:
-        raise _UsageError(f"{name} must be a non-negative integer")
-    if value > sys.float_info.max:
-        raise _UsageError(f"{name} is beyond the float range")
 
 
 def _parse_range(text: str, what: str):
@@ -238,14 +238,11 @@ def _solved_rows(keys, cols, solved) -> list:
 
 def _problem_from(args) -> engine.SletProblem:
     """The one level a solve or validate run asks for, with its settings."""
-    _check_quantum("l", args.l)
-    _check_quantum("nr", args.nr)
+    _usage(require_index, "l", args.l)
+    _usage(require_index, "nr", args.nr)
     settings = _settings_from(args)
     pot = _potential_from(args.potential, args.param)
-    try:
-        return engine.SletProblem(args.dim, args.l, args.nr, pot, settings)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return _usage(engine.SletProblem, args.dim, args.l, args.nr, pot, settings)
 
 
 def _record(args, settings, bd, res) -> dict:
@@ -302,7 +299,7 @@ def _cmd_sweep(args, argv) -> int:
         raise _UsageError("sweep is 2D only; pass --dim 2")
     if args.potential != "donor":
         raise _UsageError("sweep requires --potential donor")
-    _check_quantum("nr", args.nr)
+    _usage(require_index, "nr", args.nr)
     settings = _settings_from(args)
     grid = _parse_gamma_grid(args.gamma)
     try:
@@ -318,18 +315,12 @@ def _cmd_sweep(args, argv) -> int:
 
 def _cmd_validate(args, argv) -> int:
     problem = _problem_from(args)
-    try:
-        cfg = oracle.OracleConfig(box_radius=args.oracle_R,
-                                  grid_points=args.oracle_N,
-                                  eig_tol=args.oracle_tol)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    cfg = _usage(oracle.OracleConfig, box_radius=args.oracle_R,
+                 grid_points=args.oracle_N, eig_tol=args.oracle_tol)
 
     bd = err_slet = None
     try:
         bd = engine.solve(problem)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
     except SletError as exc:
         err_slet = str(exc)
 

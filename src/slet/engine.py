@@ -48,6 +48,9 @@ from .errors import (
     NoBoundStateError,
     NoRootError,
     SletError,
+    require_dim,
+    require_index,
+    require_integer,
 )
 from .jets import Jet
 from .potentials import Potential
@@ -87,9 +90,7 @@ class SolverSettings:
     def __post_init__(self):
         if not (0 < self.bracket_lo < self.bracket_hi < math.inf):
             raise ValueError("need 0 < bracket_lo < bracket_hi < inf")
-        if isinstance(self.scan_points, bool) \
-                or not isinstance(self.scan_points, (int, np.integer)):
-            raise ValueError("scan_points must be an integer")
+        require_integer("scan_points", self.scan_points)
         if not 16 <= self.scan_points <= _MAX_SCAN_POINTS:
             raise ValueError(
                 f"scan_points must lie in [16, {_MAX_SCAN_POINTS}]")
@@ -108,21 +109,10 @@ class SletProblem:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
-        for name in ("l", "n_radial"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be a non-negative integer")
-            if v < 0:
-                raise ValueError(f"{name} must be a non-negative integer")
-            if v > sys.float_info.max:
-                raise ValueError(f"{name} is beyond the float range")
-        if self.dim == 2 and self.potential.family == "donor":
-            m = self.potential.params["m"]
-            if self.l != abs(int(m)):
-                raise ValueError(
-                    f"2D donor requires l = |m|; got l={self.l}, m={m}")
+        require_dim(self.dim)
+        require_index("l", self.l)
+        require_index("n_radial", self.n_radial)
+        self.potential.check_level(self.dim, self.l)
 
     @property
     def l_eff(self):
@@ -175,8 +165,7 @@ def _omega(jet, r: float) -> float:
 def beta_shift(dim: int, n_radial, w):
     """Shift removing the first-order energy term, elementwise on n_radial
     and w: the 3D shift, plus 1/2 in 2D."""
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
+    require_dim(dim)
     return _shift(n_radial, w) + (3 - dim) / 2
 
 
@@ -343,15 +332,16 @@ def solve_r0(problem: SletProblem):
         f = lhs - problem.l_eff + _shift(problem.n_radial, w)
         finite = np.isfinite(f)
         cells = np.flatnonzero(_cells(f, finite))
-
-    roots = []
-    for i in cells.tolist():
-        lo, flo = float(grid[i]), float(f[i])
-        if flo == 0.0:
-            roots.append(lo)
-        else:
-            roots.append(_polish_root(problem, lo, float(grid[i + 1]),
-                                      flo, float(f[i + 1])))
+        # a float error in the polish ends as an F that is not finite, which
+        # raises, or a slope that is not finite, which bisects
+        roots = []
+        for i in cells.tolist():
+            lo, flo = float(grid[i]), float(f[i])
+            if flo == 0.0:
+                roots.append(lo)
+            else:
+                roots.append(_polish_root(problem, lo, float(grid[i + 1]),
+                                          flo, float(f[i + 1])))
 
     if not roots:
         raise _rootless(s, rising, finite.any())
@@ -380,8 +370,7 @@ def appendix_coeffs(dim: int, beta: float, r0: float, Q: float, potjet, w: float
     potjet holds Taylor coefficients c_k = V^(k)(r0)/k!, which absorb the
     factorials in the derivative terms: r0^5 V'''/6Q = r0^5 c3 / Q etc.
     """
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
+    require_dim(dim)
     beta = beta - (3 - dim) / 2
     c = potjet.coeffs
     e3_tail = r0**5 * c[3] / Q

@@ -3,7 +3,8 @@
 Discretizes the radial equation with second differences on a uniform grid
 over (0, R] and locates the k-th eigenvalue of the resulting symmetric
 tridiagonal matrix by Sturm-count bisection. Completely independent of
-the expansion machinery: shares only the potential evaluation.
+the expansion machinery: shares only the potential, its evaluation and
+its level rule (Potential.check_level), and the input checks of errors.
 
 Each dimension discretizes its own equation, whose effective potential is
 V + l(l + dim - 2)/r^2 (effective_potential):
@@ -76,7 +77,6 @@ of radial nodes, i.e. the radial quantum number.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -84,7 +84,7 @@ import numpy as np
 
 # sturm_counts is not called here; perfbench's tracer wraps it by this name
 from ._kernels import sturm_counts, sturm_walk, tail_bounds  # noqa: F401
-from .errors import OracleError
+from .errors import OracleError, require_dim, require_index, require_integer
 from .potentials import Potential
 
 # the most grid points one config may ask for (the h/2 grid takes twice
@@ -106,9 +106,7 @@ class OracleConfig:
     def __post_init__(self):
         if not (self.box_radius > 0 and math.isfinite(self.box_radius)):
             raise ValueError("box_radius must be positive and finite")
-        if isinstance(self.grid_points, bool) \
-                or not isinstance(self.grid_points, (int, np.integer)):
-            raise ValueError("grid_points must be an integer")
+        require_integer("grid_points", self.grid_points)
         if self.grid_points < 100:
             raise ValueError("grid_points must be at least 100")
         if self.grid_points > _MAX_GRID_POINTS:
@@ -142,8 +140,7 @@ def effective_potential(dim: int, l: int, potential: Potential, r):
     """V(r) + l(l + dim - 2)/r^2, the effective potential of the equation
     each scheme discretizes: l(l + 1)/r^2 for u = r R in 3D, m^2/rho^2 for
     R itself in 2D (l = |m|)."""
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
+    require_dim(dim)
     r = np.asarray(r, dtype=float)
     out = l * (l + dim - 2) / r**2 + potential.value(r)
     return float(out) if np.ndim(out) == 0 else out
@@ -275,21 +272,14 @@ def _window(points, h, tol):
     return guess - half, guess + half
 
 
-def _require_index(name, value):
-    # l(l + 1) is the same at l and -1 - l, so a negative l would solve
-    # another level
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer")
-    if value > sys.float_info.max:
-        raise ValueError(f"{name} is beyond the float range")
-
-
 def eigenvalue(dim: int, l: int, k: int, potential: Potential,
                config: OracleConfig | None = None) -> OracleResult:
-    """k-th bound level (k >= 0) for fixed l, with convergence diagnostics."""
-    _require_index("l", l)
-    _require_index("k", k)
+    """k-th bound level (k >= 0) for fixed l, with convergence diagnostics.
+    Refuses, with a ValueError, the levels that engine.SletProblem refuses."""
+    require_index("l", l)
+    require_index("k", k)
+    require_dim(dim)
+    potential.check_level(dim, l)
     cfg = config or OracleConfig()
     tol = cfg.eig_tol / 4.0
     box, n, w = cfg.box_radius, cfg.grid_points, dim - 2

@@ -57,6 +57,13 @@ class Potential:
     def as_expression(self) -> str:
         return self.source
 
+    def check_level(self, dim, l):
+        """ValueError unless the angular number l names a level of this
+        potential in dim dimensions: a 2D donor's l is |m|."""
+        m = self.params.get("m")
+        if dim == 2 and self.family == "donor" and l != abs(int(m)):
+            raise ValueError(f"2D donor requires l = |m|; got l={l}, m={m}")
+
 
 # -- constructors --------------------------------------------------------
 

@@ -245,6 +245,14 @@ def test_constant_domain_error_names_its_cause(capsys, src, message):
     assert rc == 3 and err == ""
     _, columns, rows = read_csv(out)
     assert rows[0][columns.index("error")] == f"{message}; {message}"
+    # the batch search raises on its scan, so every level of the block goes
+    # to solve(), which names the cause on each row
+    rc, out, err = run_cli(capsys, "spectrum", "--dim", "3",
+                           f"--potential={src}", "--l-range", "0..1",
+                           "--nr-range", "0..0", "--format", "csv")
+    assert rc == 0 and err == ""
+    _, columns, rows = read_csv(out)
+    assert [row[columns.index("error")] for row in rows] == [message] * 2
 
 
 @pytest.mark.parametrize("src", ["1e400 + r", "1e300*1e300 + r", "1/0 + r"])
@@ -1207,6 +1215,36 @@ def test_config_rejects_unbounded_scan(capsys, tmp_path, line, message):
             rc, out, err = run_cli(capsys, *cmd, "--dim", "3", "--potential",
                                    "coulomb", "--config", str(cfg))
         assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_polish_step_where_the_frequency_is_undefined(capsys, tmp_path):
+    # on a 16-point scan the Newton polish of a narrow well steps where
+    # 3 + r V''/V' < 0; solve() raises, and the batch hands such a level
+    # to solve() for its error while the others solve
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("scan_points = 16\n")
+    src = "r^2/4 - 4.01917*exp(-((r-1.92651)/0.0960514)^2)"
+
+    def undefined(r, vp, g):
+        return (f"equation not evaluable at r = {r}: V' = {vp}, "
+                f"3 + r V''/V' = {g}")
+
+    at_l1 = undefined("2.0271566135620867", "30.26286783221508",
+                      "-20.24761385690562")
+    rc, out, err = run_cli(capsys, "solve", "--dim", "3", f"--potential={src}",
+                           "--l", "1", "--nr", "0", "--no-header",
+                           "--config", str(cfg))
+    assert (rc, out, err) == (3, "", f"error: {at_l1}\n")
+    rc, out, err = run_cli(capsys, "spectrum", "--dim", "3",
+                           f"--potential={src}", "--l-range", "0..2",
+                           "--nr-range", "0..0", "--format", "csv",
+                           "--no-header", "--config", str(cfg))
+    assert rc == 0 and err == ""
+    _, columns, rows = read_csv(out)
+    errors = [row[columns.index("error")] for row in rows]
+    assert errors == [undefined("1.6669524744725293", "0.6810559822823282",
+                                "-15.33019222624376"), at_l1, ""]
+    assert rows[2][columns.index("E_total")] == "3.4999999999999418"
 
 
 def test_config_missing_file(capsys, tmp_path):

@@ -511,6 +511,35 @@ def test_float_error_in_scalar_jet_is_a_slet_error():
         engine.solve_r0(_problem(_oscillator(_FloatErrorJet)))
 
 
+def test_polish_bisects_first_where_regula_falsi_leaves_the_bracket(
+        monkeypatch):
+    # at this B the oscillator's F is -2.2e-16 at scan point 225, so the
+    # regula falsi point of its cell rounds onto that end
+    pot = potentials.harmonic(0.5131023001013524)
+    grid = engine._scan(pot, SolverSettings())[0]
+    seen = []
+    slope = engine._lbar_equation_with_slope
+    monkeypatch.setattr(engine, "_lbar_equation_with_slope",
+                        lambda problem, r: seen.append(r) or slope(problem, r))
+    bd = engine.solve(_problem(pot))
+    assert seen[0] == 0.5 * (grid[225] + grid[226])
+    assert bd.r0 == pytest.approx(grid[225], rel=1e-12)
+    assert bd.E_total == pytest.approx(1.5 * pot.params["B"], rel=1e-15)
+
+
+def test_polish_raises_where_the_equation_is_not_finite():
+    # a spike narrower than a scan cell, whose V'' overflows at the first
+    # polish point while V' stays finite: w and F are infinite there. The
+    # batch hands the level to solve() for its error.
+    pot = potentials.expression(
+        "r^2/4 + 1e285*exp(-((r - 1.7318103893578978)/1e-15)^2)")
+    message = "equation not evaluable at r = 1.7318103893578969: F = -inf"
+    with pytest.raises(InvalidExpansionPointError, match=f"^{message}$"):
+        engine.solve(_problem(pot))
+    _, errors = engine.solve_levels(3, pot, [(0, 0)], SolverSettings())
+    assert str(errors[0]) == message
+
+
 @pytest.mark.parametrize("dim,make", [
     (3, lambda l: potentials.coulomb()),
     (3, lambda l: potentials.harmonic(2.0)),

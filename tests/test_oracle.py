@@ -93,6 +93,20 @@ def test_quantum_numbers_beyond_the_float_range_raise(l, k):
         oracle.eigenvalue(3, l, k, potentials.coulomb())
 
 
+def test_judge_refuses_a_level_the_expansion_refuses():
+    # l = |m| is the potential's rule, so the oracle and SletProblem share it
+    pot = potentials.donor(1.0, -1)
+    cfg = oracle.OracleConfig(box_radius=20.0, grid_points=400)
+    with pytest.raises(ValueError, match=r"^2D donor requires l = \|m\|; "
+                                         r"got l=0, m=-1$"):
+        oracle.eigenvalue(2, 0, 0, pot, cfg)
+    with pytest.raises(ValueError, match="2D donor requires"):
+        engine.SletProblem(2, 0, 0, pot)
+    pot.check_level(2, 1)
+    for l in (0, 1, 2):
+        pot.check_level(3, l)
+
+
 def test_escaped_index_raises():
     cfg = oracle.OracleConfig(grid_points=100)
     with pytest.raises(OracleError):
