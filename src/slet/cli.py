@@ -7,7 +7,12 @@ object), csv (RFC 4180, 17 significant digits), table (human-readable).
 One renderer, `_render`, writes every subcommand's output: csv and json
 from rows of cells (json from a payload where one is given), the table
 from the rows aligned in columns or from a listing of (label, value)
-pairs, which `solve` and `validate` give.
+pairs, which `solve` and `validate` give. It formats the rows column by
+column, a column of floats in one call. csv and json rows are formatted
+and written in blocks of 1024, so the whole text never exists at once: a
+10^5-row sweep peaks at 48 MB in either (90 and 232 MB when the text was
+built whole). The table formats all its cells first, since its column
+widths need every row.
 
 Exit codes: 0 success, 2 bad flags or inputs (among them a builtin
 parameter out of its range, such as a donor m that is not a finite integer,
@@ -28,13 +33,14 @@ Timestamps live only in a header line (or the "generated" JSON key) so that
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
+import os
 import re
 import sys
 from datetime import datetime, timezone
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, engine, oracle, potentials
 from .errors import SletError, require_index
@@ -54,6 +60,11 @@ _MAX_GAMMA_ROWS = 10**6
 # the most levels one spectrum may ask for. It bounds the run's work, not
 # its memory: engine.solve_levels solves the levels in blocks.
 _MAX_LEVELS = 10**4
+
+# the rows of csv or json formatted and written at a time
+_BLOCK_ROWS = 1024
+_CSV_QUOTE = re.compile(r'[,"\r\n]').search
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 _CONFIG_KEYS = {"bracket_lo": float, "bracket_hi": float,
                 "scan_points": int, "root_tol": float}
@@ -180,60 +191,121 @@ def _listing(width, pairs) -> list:
             for label, v in pairs]
 
 
+def _text_cells(col, slow) -> list:
+    """One column's csv or table cells: a column of floats in one map,
+    any other column by `slow`, cell by cell."""
+    fast = "{:.17g}".format  # _fmt of a float
+    return list(map(fast if set(map(type, col)) == {float} else slow, col))
+
+
+def _csv_cell(v) -> str:
+    """A csv cell as csv.writer writes it under QUOTE_MINIMAL: quoted, with
+    its quotes doubled, when it holds a comma, a quote or a line break."""
+    text = _fmt(v)
+    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTE(text) else text
+
+
+def _json_cell(v) -> str:
+    """A cell as json.dumps writes it: None, a str, an int or a float."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    text = "null" if v is None else repr(v)
+    return _JSON_FLOATS.get(text, text)
+
+
+def _json_cells(col) -> list:
+    """One column's json cells; a float column whose sum is finite holds
+    no nan or inf and needs only float.__repr__."""
+    if set(map(type, col)) == {float} and math.isfinite(sum(col)):
+        return list(map(float.__repr__, col))
+    return list(map(_json_cell, col))
+
+
+def _one_row(row):
+    """A single row as _render takes its rows."""
+    return 1, lambda rows: [[v] for v in row]
+
+
 def _render(args, argv, columns, rows, payload=None, listing=None) -> None:
     """Write a run's result in --format to --out or stdout; the one place
     that lays out every subcommand's output.
 
-    `rows` are sequences of raw values in the order of `columns`, and csv
-    shows them. JSON shows `payload`, or else the rows. The table shows
-    `listing`, a label width and (label, value) pairs, or else the rows
-    aligned in columns.
+    `rows` is (count, take): take(slice) gives those rows' raw values as
+    one list per entry of `columns`, and csv shows them. JSON shows
+    `payload`, or else the rows. The table shows `listing`, a label width
+    and (label, value) pairs, or else the rows aligned in columns. csv and
+    json rows are formatted and written _BLOCK_ROWS at a time; the table
+    formats every cell first, for the column widths.
     """
     ts = datetime.now(timezone.utc).isoformat()
     header = [] if args.no_header else [f"# generated {ts} slet {__version__}"]
+    count, take = rows
+    starts = range(0, count, _BLOCK_ROWS)
+    blocks = (take(slice(lo, lo + _BLOCK_ROWS)) for lo in starts)
     if args.fmt == "json":
         doc = {} if args.no_header else {
             "generated": {"timestamp": ts, "version": __version__}}
         doc["command"] = list(argv)
-        doc.update(payload if payload is not None else
-                   {"rows": [dict(zip(columns, row)) for row in rows]})
-        text = json.dumps(doc, indent=2) + "\n"
+        doc.update(payload if payload is not None else {"rows": []})
+        text = json.dumps(doc, indent=2)
+        if payload is not None or not count:
+            parts = [text + "\n"]
+        else:  # text ends in '"rows": []\n}', which the rows fill
+            row = "    {\n" + ",\n".join(
+                f"      {json.dumps(c).replace('%', '%%')}: %s"
+                for c in columns) + "\n    }"
+            parts = chain([text[:-4] + "[\n"], (
+                (",\n" if lo else "") + ",\n".join(
+                    row % cells for cells in zip(*map(_json_cells, block)))
+                for lo, block in zip(starts, blocks)), ["\n  ]\n}\n"])
     elif args.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(columns)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
-        text = "".join(h + "\r\n" for h in header) + buf.getvalue()
+        parts = chain(["".join(h + "\r\n" for h in header)
+                       + ",".join(map(_csv_cell, columns)) + "\r\n"], (
+            "".join(",".join(cells) + "\r\n" for cells in zip(
+                *(_text_cells(col, _csv_cell) for col in block)))
+            for block in blocks))
+    elif listing is not None:
+        parts = ["\n".join(header + _listing(*listing)) + "\n"]
     else:
-        if listing is not None:
-            lines = _listing(*listing)
-        else:
-            cells = [[_fmt(v) for v in row] for row in rows]
-            widths = [max([len(c)] + [len(r[i]) for r in cells])
-                      for i, c in enumerate(columns)]
-            lines = ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip()
-                     for r in [list(columns)] + cells]
-        text = "\n".join(header + lines) + "\n"
+        cells = [_text_cells(col, _fmt) for col in take(slice(None))]
+        line = "  ".join(f"{{:<{max([len(c), *map(len, col)])}}}"
+                         for c, col in zip(columns, cells)).format
+        parts = chain(["".join(h + "\n" for h in header)
+                       + line(*columns).rstrip() + "\n"], (
+            "".join(line(*r).rstrip() + "\n"
+                    for r in zip(*(col[lo:lo + _BLOCK_ROWS] for col in cells)))
+            for lo in starts))
     if not args.out:
-        sys.stdout.write(text)
+        for part in parts:
+            sys.stdout.write(part)
         return
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part)
     except OSError as exc:
         raise _UsageError(f"cannot write output file: {exc}") from None
 
 
-def _solved_rows(keys, cols, solved) -> list:
-    """Rows of each level's key cells, its output columns `cols` and its
-    error text, from the (columns, errors) that engine.solve_levels gives.
-    A level that failed has empty cells and its message, and the run goes
+def _solved_columns(keys, cols, solved):
+    """The rows of each level's key cells (`keys`, one list per key
+    column), its output columns `cols` and its error text, as _render takes
+    rows, from the (columns, errors) that engine.solve_levels gives. A
+    level that failed has empty cells and its message, and the run goes
     on."""
     columns, errors = solved
-    values = zip(*(columns[_LEVEL_COLS[c]].tolist() for c in cols))
-    blank = (None,) * len(cols)
-    return [(*key, *cells, "") if err is None else (*key, *blank, str(err))
-            for key, cells, err in zip(keys, values, errors)]
+    arrays = [columns[_LEVEL_COLS[c]] for c in cols]
+
+    def take(rows):
+        errs = errors[rows]
+        failed = [i for i, err in enumerate(errs) if err is not None]
+        values = [a[rows].tolist() for a in arrays]
+        for col in values:
+            for i in failed:
+                col[i] = None
+        return [*(key[rows] for key in keys), *values,
+                ["" if err is None else str(err) for err in errs]]
+    return len(errors), take
 
 
 def _problem_from(args) -> engine.SletProblem:
@@ -273,7 +345,7 @@ def _cmd_solve(args, argv) -> int:
                for k in ("dim", "potential", "params", "l", "nr")),
              *((_SOLVE_LABELS.get(k, k), v) for k, v in fields.items())]
     row = (args.l, args.nr, *(getattr(bd, f) for f in engine.LEVEL_FIELDS))
-    _render(args, argv, _SOLVE_COLS, [row], record, (11, pairs))
+    _render(args, argv, _SOLVE_COLS, _one_row(row), record, (11, pairs))
     return 0
 
 
@@ -288,8 +360,9 @@ def _cmd_spectrum(args, argv) -> int:
     pot = _potential_from(args.potential, args.param)
     levels = [(l, nr) for l in range(l_lo, l_hi + 1)
               for nr in range(n_lo, n_hi + 1)]
-    rows = _solved_rows(levels, _LEVEL_COLS,
-                        engine.solve_levels(args.dim, pot, levels, settings))
+    rows = _solved_columns([[l for l, _ in levels], [nr for _, nr in levels]],
+                           _LEVEL_COLS,
+                           engine.solve_levels(args.dim, pot, levels, settings))
     _render(args, argv, _SOLVE_COLS + ("error",), rows)
     return 0
 
@@ -308,7 +381,7 @@ def _cmd_sweep(args, argv) -> int:
         raise _UsageError(str(exc)) from None
     solved = engine.solve_levels(2, pot, [(abs(args.m), args.nr)] * len(grid),
                                  settings)
-    rows = _solved_rows([(g,) for g in grid], _SWEEP_COLS[1:], solved)
+    rows = _solved_columns([grid], _SWEEP_COLS[1:], solved)
     _render(args, argv, _SWEEP_COLS + ("error",), rows)
     return 0
 
@@ -364,7 +437,7 @@ def _cmd_validate(args, argv) -> int:
     if comparison is not None:
         pairs += [("abs diff", comparison["abs_diff"]),
                   ("rel diff", comparison["rel_diff"])]
-    _render(args, argv, tuple(cells), [tuple(cells.values())], payload,
+    _render(args, argv, tuple(cells), _one_row(cells.values()), payload,
             (21, pairs))
     return 3 if (err_slet or err_oracle) else 0
 
@@ -448,6 +521,12 @@ def main(argv=None) -> int:
     except SletError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: what is left of the
+        # output goes to devnull, so the flush at exit raises nothing
+        # (the recipe of the signal module's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ stdout/stderr payloads are observable without spawning subprocesses; the
 one exception checks which modules a fresh process ends up importing.
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -17,6 +18,7 @@ import subprocess
 import sys
 import time
 import warnings
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,14 @@ def table_value(out, label):
         if line.startswith(label + " "):
             return line[len(label):].strip()
     raise AssertionError(f"no {label!r} line in output:\n{out}")
+
+
+def _src_env():
+    """The environment of a child process that imports this slet."""
+    src = pathlib.Path(slet.__file__).resolve().parents[1]
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
 
 
 # -- solve --------------------------------------------------------------------
@@ -278,10 +288,7 @@ def test_non_finite_energy_is_an_error(capsys, src):
 def test_validate_tolerance_below_float_resolution_returns(tmp_path, tol):
     # the larger box's window, seeded at the N-point energy with a
     # half-width below its ulp, once closed to a point and looped there
-    src = pathlib.Path(slet.__file__).resolve().parents[1]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    env = _src_env()
     done = subprocess.run(
         [sys.executable, "-m", "slet.cli", "validate", "--dim", "3",
          "--potential", "coulomb", "--l", "0", "--nr", "0",
@@ -487,10 +494,7 @@ def test_spectrum_does_not_import_numpy_ma(tmp_path):
         "              '--format', 'csv', '--out', 'out.csv'])\n"
         "assert rc == 0, rc\n"
         "print('numpy.ma' in sys.modules)\n")
-    src = pathlib.Path(slet.__file__).resolve().parents[1]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    env = _src_env()
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -509,10 +513,7 @@ def test_validate_does_not_import_scipy(tmp_path):
         "              '--out', 'out.txt'])\n"
         "assert rc == 0, rc\n"
         "print('scipy' in sys.modules)\n")
-    src = pathlib.Path(slet.__file__).resolve().parents[1]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    env = _src_env()
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -1040,6 +1041,166 @@ def test_out_unwritable_exits_2(capsys, tmp_path, argv):
     rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "no" / "x"))
     assert rc == 2 and out == ""
     assert err.startswith("error: cannot write output file: ")
+
+
+_TS = "2026-01-02T03:04:05.678901+00:00"
+
+
+class _PinnedClock:
+    @staticmethod
+    def now(tz=None):
+        return datetime.fromisoformat(_TS)
+
+
+class _Stream:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def _reference_render(fmt, header, columns, rows, argv):
+    """The text _render gave when it formatted every cell by _fmt and wrote
+    it at once: csv by csv.writer, json by json.dumps of row dicts and the
+    table by str.ljust."""
+    head = [f"# generated {_TS} slet {slet.__version__}"] if header else []
+    if fmt == "json":
+        doc = {"generated": {"timestamp": _TS, "version": slet.__version__}
+               } if header else {}
+        doc["command"] = list(argv)
+        doc["rows"] = [dict(zip(columns, row)) for row in rows]
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(columns)
+        writer.writerows([cli._fmt(v) for v in row] for row in rows)
+        return "".join(h + "\r\n" for h in head) + buf.getvalue()
+    cells = [[cli._fmt(v) for v in row] for row in rows]
+    widths = [max([len(c)] + [len(r[i]) for r in cells])
+              for i, c in enumerate(columns)]
+    lines = ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip()
+             for r in [list(columns)] + cells]
+    return "\n".join(head + lines) + "\n"
+
+
+def _synthetic_columns(n):
+    """n rows of an int key, a float column, a float column with the
+    extremes, a text column and a mixed column."""
+    floats = [-0.0, 5e-324, 1e308, -1e308, 0.1, 1 / 3, 2.0**-1074 * 3, 1e22]
+    extremes = floats + [math.nan, math.inf, -math.inf]
+    texts = ["", "a,b", 'say "hi"', "one\r\ntwo", "café", "x y",
+             "plain", 'q"', "lf\nonly", "cr\ronly", "line\u2028sep"]
+    mixed = [None, 10**30, -7, 2.5, math.nan, "a,\"b\"", -0.0, math.inf]
+    return [list(range(n)),
+            [floats[i % len(floats)] for i in range(n)],
+            [extremes[i % len(extremes)] for i in range(n)],
+            [texts[i % len(texts)] for i in range(n)],
+            [mixed[i % len(mixed)] for i in range(n)]]
+
+
+_SYNTHETIC = ("k", "x", "x,extreme", 'say "t"', "mélange")
+
+
+@pytest.mark.parametrize("n", [0, 1, 1024, 1025, 2049])
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+@pytest.mark.parametrize("header", [False, True])
+def test_render_gives_the_bytes_of_whole_text_formatting(monkeypatch, n, fmt,
+                                                         header):
+    monkeypatch.setattr(cli, "datetime", _PinnedClock)
+    cols = _synthetic_columns(n)
+    argv = ["spectrum", "--x", "café"]
+    args = argparse.Namespace(fmt=fmt, no_header=not header, out=None)
+    stream = _Stream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    cli._render(args, argv, _SYNTHETIC,
+                (n, lambda rows: [col[rows] for col in cols]))
+    want = _reference_render(fmt, header, _SYNTHETIC, list(zip(*cols)), argv)
+    assert "".join(stream.writes) == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_render_writes_csv_and_json_block_by_block(monkeypatch, fmt):
+    monkeypatch.setattr(cli, "datetime", _PinnedClock)
+    n = 2049
+    cols = [list(range(n)), [i / 7 for i in range(n)]]
+    args = argparse.Namespace(fmt=fmt, no_header=False, out=None)
+    stream = _Stream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    cli._render(args, ["sweep"], ("k", "x"),
+                (n, lambda rows: [col[rows] for col in cols]))
+    assert len(stream.writes) >= 3
+    if fmt == "csv":
+        counts = [sum(line[:1].isdigit() for line in w.split("\r\n"))
+                  for w in stream.writes]
+    else:
+        counts = [w.count('"k":') for w in stream.writes]
+    assert sum(counts) == n and max(counts) <= 1024
+    assert "".join(stream.writes) == _reference_render(
+        fmt, True, ("k", "x"), list(zip(*cols)), ["sweep"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_ends_quietly(tmp_path, fmt):
+    # as in `slet sweep ... | head -1`: 2*10^4 rows overfill the pipe, so
+    # a write meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slet.cli", "sweep", "--dim", "2",
+         "--potential", "donor", "--m=0", "--nr", "0",
+         "--gamma", "0:19999:1", "--format", fmt],
+        cwd=tmp_path, env=_src_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == ""  # no BrokenPipeError traceback
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full device")
+def test_write_failure_mid_stream_exits_2(capsys):
+    rc, out, err = run_cli(capsys, *_sweep_argv("0:2999:1"), "--format", "csv",
+                           "--out", "/dev/full")
+    assert (rc, out) == (2, "")
+    assert err == ("error: cannot write output file: [Errno 28] No space "
+                   "left on device\n")
+
+
+_EMPTY_SPECTRUM = ("spectrum", "--dim", "3", "--potential", "coulomb",
+                   "--l-range", "0..0", "--nr-range", "0..-1")
+_EMPTY_SWEEP = ("sweep", "--dim", "2", "--potential", "donor", "--m=0",
+                "--nr", "0", "--gamma", "5:1:1")
+
+
+def _empty_json(argv):
+    return "".join(['{\n  "command": [\n',
+                    ",\n".join(f'    "{a}"' for a in argv),
+                    '\n  ],\n  "rows": []\n}\n'])
+
+
+@pytest.mark.parametrize("argv, fmt, want", [
+    (_EMPTY_SPECTRUM, "table",
+     "l  nr  r0  w  beta  lbar  E0  E2term  E3term  E_total  error\n"),
+    (_EMPTY_SPECTRUM, "csv",
+     "l,nr,r0,w,beta,lbar,E0,E2term,E3term,E_total,error\r\n"),
+    (_EMPTY_SPECTRUM, "json",
+     _empty_json(_EMPTY_SPECTRUM + ("--format", "json", "--no-header"))),
+    (_EMPTY_SWEEP, "table", "gamma  E_total  E0  E2term  E3term  error\n"),
+    (_EMPTY_SWEEP, "csv", "gamma,E_total,E0,E2term,E3term,error\r\n"),
+    (_EMPTY_SWEEP, "json",
+     _empty_json(_EMPTY_SWEEP + ("--format", "json", "--no-header"))),
+])
+def test_empty_grid_output(capsys, argv, fmt, want):
+    assert run_cli(capsys, *argv, "--format", fmt, "--no-header") == (
+        0, want, "")
 
 
 def test_parser_state_does_not_leak_between_calls(capsys):
